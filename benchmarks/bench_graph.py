@@ -17,7 +17,11 @@ versioned artifact envelope of :mod:`repro.bench.artifact`):
 * **utility** — the LBS k-NN workload of the paper's introduction with
   every distance meaning *driving* distance: POIs live on road
   vertices, the server ranks by shortest path, and the QoS cost is
-  extra travel along the network.
+  extra travel along the network;
+* **walk throughput** — points per second of the staged walk and of
+  the compiled kernel (membership labels, one vertex snap per batch)
+  on one fixed seeded batch, after asserting the two paths report the
+  same points bit for bit.
 
 Runnable both ways::
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from common import REPO_ROOT, rng, write_bench_artifact
 from repro.attacks.bayesian import optimal_inference_attack
 from repro.core.msm import MultiStepMechanism
 from repro.eval.privacy import empirical_epsilon_sampled, privacy_metrics
+from repro.geo.point import Point
 from repro.graph import (
     GraphMetric,
     GraphPartitionIndex,
@@ -72,6 +78,8 @@ N_POIS = 120
 KNN_K = 5
 N_EVAL_INPUTS = 6
 N_EVAL_SAMPLES = 3_000
+N_WALK_POINTS = 20_000
+WALK_REPEATS = 3
 
 
 def build_graph_msm() -> tuple[MultiStepMechanism, GraphPartitionIndex, GraphMetric]:
@@ -114,11 +122,50 @@ def eval_inputs(partition: GraphPartitionIndex, n: int) -> list:
     return [centers[i] for i in ranked[: min(n, len(centers))]]
 
 
+def walk_throughput(msm: MultiStepMechanism, n: int = N_WALK_POINTS) -> dict:
+    """Staged vs compiled walk throughput on one seeded batch of ``n``
+    uniform city points (best of :data:`WALK_REPEATS`, traceless).
+
+    Both paths draw from the same seed and must report the same points
+    bit for bit; the kernel is a re-expression of the staged walk.
+    """
+    b = msm.index.bounds
+    xy = rng("graph-walk").uniform(
+        (b.min_x, b.min_y), (b.max_x, b.max_y), size=(n, 2)
+    )
+    points = [Point(float(x), float(y)) for x, y in xy]
+    engine = msm.engine
+    assert engine.compile(build=False) is not None, "warm graph tree must compile"
+    seconds: dict[str, float] = {}
+    reported: dict[str, list] = {}
+    for mode in ("never", "always"):
+        engine.kernel = mode
+        times = []
+        for _ in range(WALK_REPEATS):
+            start = time.perf_counter()
+            walks = msm.sanitize_batch(
+                points, rng("graph-walk-sanitize"), trace=False
+            )
+            times.append(time.perf_counter() - start)
+        seconds[mode] = min(times)
+        reported[mode] = [w.point for w in walks]
+    engine.kernel = "auto"
+    assert reported["never"] == reported["always"], "kernel diverged from staged"
+    return {
+        "n_points": n,
+        "repeats": WALK_REPEATS,
+        "staged_points_per_second": round(n / seconds["never"], 1),
+        "kernel_points_per_second": round(n / seconds["always"], 1),
+        "kernel_speedup": round(seconds["never"] / seconds["always"], 2),
+    }
+
+
 def run(n_requests: int = N_REQUESTS) -> dict:
     msm, partition, metric = build_graph_msm()
     city = metric.graph
 
     n_guarded = guard_every_node(msm, metric)
+    walk = walk_throughput(msm)
 
     matrix = msm.to_matrix()
     stop_prior = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
@@ -183,6 +230,7 @@ def run(n_requests: int = N_REQUESTS) -> dict:
             "median_extra_travel_km": round(report.median_extra_distance, 6),
             "mean_recall_at_k": round(report.mean_recall_at_k, 6),
         },
+        "walk": walk,
     }
 
 
@@ -206,6 +254,9 @@ def test_graph_bench_smoke():
     lbs = results["lbs"]
     assert 0.0 <= lbs["mean_recall_at_k"] <= 1.0
     assert lbs["mean_extra_travel_km"] >= 0.0
+    walk = results["walk"]
+    assert walk["staged_points_per_second"] > 0.0
+    assert walk["kernel_points_per_second"] > 0.0
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ import pickle
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -1308,19 +1309,28 @@ class WalkEngine:
             ),
         )
 
+    @cached_property
+    def _prior_keys(self) -> np.ndarray | None:
+        """The index's membership keys of the prior-grid centres."""
+        return self._index.membership_keys(self._prior.grid.centers_array())
+
     def child_prior(self, children: Sequence[IndexNode]) -> np.ndarray:
         """Global prior mass restricted to ``children`` and renormalised.
 
         Region membership is delegated to the index's
         :meth:`~repro.grid.index.SpatialIndex.contains_mask`, so
         non-box partitions (the graph index) fold the prior onto their
-        true regions rather than onto bounding-box envelopes.
+        true regions rather than onto bounding-box envelopes.  Their
+        :meth:`~repro.grid.index.SpatialIndex.membership_keys` snap of
+        the prior centres is computed once per engine and reused by
+        every node.
         """
         centers = self._prior.grid.centers_array()
+        keys = self._prior_keys
         probs = self._prior.probabilities
         masses = np.zeros(len(children))
         for j, child in enumerate(children):
-            inside = self._index.contains_mask(child, centers)
+            inside = self._index.contains_mask(child, centers, keys)
             masses[j] = probs[inside].sum()
         total = masses.sum()
         if total <= 0:

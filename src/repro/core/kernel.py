@@ -14,6 +14,12 @@ struct-of-arrays form:
 * **packed child geometry** per node (grid origin/cell size/shape, or
   the binary split coordinate) so locating a whole level of points is a
   handful of gathered array expressions;
+* **membership labels** for indexes whose regions are not boxes (the
+  road-network partition): every member node's per-key child-slot
+  labels concatenated into one ``member_labels`` array addressed by a
+  per-node ``label_offset``.  Each point is snapped to its key (nearest
+  of the ``snap_coords`` sites) once per batch, and a member level is
+  one gather ``member_labels[label_offset[ids] + keys]``;
 * **stacked CDF arenas** per level: every warmed node's
   :attr:`~repro.mechanisms.matrix.MechanismMatrix.cdf` rows
   concatenated into one contiguous ``(rows, fanout)`` array, with a
@@ -21,11 +27,14 @@ struct-of-arrays form:
   row gather and one vectorised CDF inversion.
 
 The float fields are the *same expressions* the staged path computes
-(each index's ``child_geometry`` contract), and sampling uses the same
-comparison-count inversion as ``MechanismMatrix.sample_rows``, so under
-the engine's unified per-level RNG scheme the compiled walk is bitwise
-identical to the staged walk — the differential fuzz suite holds the
-two to byte equality.
+(each index's ``child_geometry`` contract), the snap rebuilds the
+index's own nearest-site tree from the stored site coordinates, and
+sampling uses the same comparison-count inversion as
+``MechanismMatrix.sample_rows``, so under the engine's unified
+per-level RNG scheme the compiled walk is bitwise identical to the
+staged walk — the differential fuzz suite holds the two to byte
+equality.  Every index in the repository compiles except the STR
+index, whose quantile tiling exports no child geometry.
 
 A compiled walk is a snapshot: it records the cache ``version`` it was
 built against, and the engine drops it (falling back to the staged
@@ -36,10 +45,11 @@ entries — the eviction→invalidation contract.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.mechanisms.matrix import invert_cdf_rows
 
@@ -51,8 +61,14 @@ KIND_TERMINAL = -1
 KIND_GRID = 0
 KIND_SPLIT_X = 1
 KIND_SPLIT_Y = 2
+KIND_MEMBER = 3
 
-_KIND_CODE = {"grid": KIND_GRID, "split-x": KIND_SPLIT_X, "split-y": KIND_SPLIT_Y}
+_KIND_CODE = {
+    "grid": KIND_GRID,
+    "split-x": KIND_SPLIT_X,
+    "split-y": KIND_SPLIT_Y,
+    "member": KIND_MEMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,9 @@ class CompiledWalk:
     child_count: np.ndarray
     child_ids: np.ndarray
     row_offset: np.ndarray  # start row in the node's level arena, -1 terminal
+    label_offset: np.ndarray  # start of the node's labels, -1 non-member
+    member_labels: np.ndarray  # child slot per (member node, key), -1 outside
+    snap_coords: np.ndarray  # (k, 2) sites a key indexes; (0, 2) when unused
     # per-node provenance (for lazy trace / degradation materialisation)
     degraded: np.ndarray  # bool
     source: list[str]
@@ -106,6 +125,10 @@ class CompiledWalk:
     paths: list[tuple[int, ...]]
     #: cache content version this snapshot was compiled against
     cache_version: int = 0
+    #: nearest-site tree over ``snap_coords``, built on first snap
+    _snap_tree: cKDTree | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_nodes(self) -> int:
@@ -145,7 +168,8 @@ class CompiledWalk:
         RNG consumption per level matches the staged path exactly: one
         ``rng.random(n_drifted)`` draw (skipped when no point drifted)
         followed by one ``rng.random(n_active)`` draw, both in ascending
-        batch order.
+        batch order.  A member tree snaps every point to its key once,
+        up front, and locates each level with one label gather.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         n = coords.shape[0]
@@ -155,6 +179,7 @@ class CompiledWalk:
             return cur, levels
         x = coords[:, 0]
         y = coords[:, 1]
+        keys = self._snap(coords) if self.snap_coords.shape[0] else None
         for lvl in range(self.n_levels):
             active = np.flatnonzero(self.child_count[cur] > 0)
             if active.size == 0:
@@ -168,45 +193,15 @@ class CompiledWalk:
                 span_ctx.__enter__()
             try:
                 ids = cur[active]
-                ax = x[active]
-                ay = y[active]
-                inside = (
-                    (ax >= self.min_x[ids])
-                    & (ax <= self.max_x[ids])
-                    & (ay >= self.min_y[ids])
-                    & (ay <= self.max_y[ids])
-                )
-                x_hat = np.full(active.size, -1, dtype=np.int64)
-                kinds = self.kind[ids]
-                grid_mask = kinds == KIND_GRID
-                if grid_mask.any():
-                    gids = ids[grid_mask]
-                    cols = np.minimum(
-                        (
-                            (ax[grid_mask] - self.min_x[gids])
-                            / self.cell_w[gids]
-                        ).astype(np.int64),
-                        self.gx[gids] - 1,
-                    )
-                    rows = np.minimum(
-                        (
-                            (ay[grid_mask] - self.min_y[gids])
-                            / self.cell_h[gids]
-                        ).astype(np.int64),
-                        self.gy[gids] - 1,
-                    )
-                    x_hat[grid_mask] = rows * self.gx[gids] + cols
-                sx_mask = kinds == KIND_SPLIT_X
-                if sx_mask.any():
-                    x_hat[sx_mask] = (
-                        ax[sx_mask] >= self.split[ids[sx_mask]]
-                    ).astype(np.int64)
-                sy_mask = kinds == KIND_SPLIT_Y
-                if sy_mask.any():
-                    x_hat[sy_mask] = (
-                        ay[sy_mask] >= self.split[ids[sy_mask]]
-                    ).astype(np.int64)
-                x_hat[~inside] = -1
+                if keys is None:
+                    x_hat = self._locate_boxes(ids, x[active], y[active])
+                else:
+                    # membership is authoritative: no envelope test
+                    # (sibling envelopes overlap, and a point outside
+                    # one can still snap to a member vertex)
+                    x_hat = self.member_labels[
+                        self.label_offset[ids] + keys[active]
+                    ]
                 drifted = x_hat < 0
                 n_drifted = int(drifted.sum())
                 if n_drifted:
@@ -238,6 +233,60 @@ class CompiledWalk:
                     span_ctx.__exit__(None, None, None)
         return cur, levels
 
+    def _locate_boxes(
+        self, ids: np.ndarray, ax: np.ndarray, ay: np.ndarray
+    ) -> np.ndarray:
+        """Child slot of each active point among its grid or split
+        node's children; -1 (drifted) outside the node's box."""
+        kinds = self.kind[ids]
+        x_hat = np.full(ids.size, -1, dtype=np.int64)
+        grid_mask = kinds == KIND_GRID
+        if grid_mask.any():
+            gids = ids[grid_mask]
+            cols = np.minimum(
+                (
+                    (ax[grid_mask] - self.min_x[gids]) / self.cell_w[gids]
+                ).astype(np.int64),
+                self.gx[gids] - 1,
+            )
+            rows = np.minimum(
+                (
+                    (ay[grid_mask] - self.min_y[gids]) / self.cell_h[gids]
+                ).astype(np.int64),
+                self.gy[gids] - 1,
+            )
+            x_hat[grid_mask] = rows * self.gx[gids] + cols
+        sx_mask = kinds == KIND_SPLIT_X
+        if sx_mask.any():
+            x_hat[sx_mask] = (
+                ax[sx_mask] >= self.split[ids[sx_mask]]
+            ).astype(np.int64)
+        sy_mask = kinds == KIND_SPLIT_Y
+        if sy_mask.any():
+            x_hat[sy_mask] = (
+                ay[sy_mask] >= self.split[ids[sy_mask]]
+            ).astype(np.int64)
+        inside = (
+            (ax >= self.min_x[ids])
+            & (ax <= self.max_x[ids])
+            & (ay >= self.min_y[ids])
+            & (ay <= self.max_y[ids])
+        )
+        x_hat[~inside] = -1
+        return x_hat
+
+    def _snap(self, coords: np.ndarray) -> np.ndarray:
+        """Key of each ``(m, 2)`` coordinate: its nearest site's index.
+
+        The tree is rebuilt from ``snap_coords`` on first use with the
+        construction :class:`~repro.graph.city.RoadGraph` uses, so ties
+        resolve exactly as the index's own snap does.
+        """
+        if self._snap_tree is None:
+            self._snap_tree = cKDTree(self.snap_coords)
+        _, idx = self._snap_tree.query(coords)
+        return np.asarray(idx, dtype=np.int64)
+
     # ------------------------------------------------------------------
     # persistence / comparison
     # ------------------------------------------------------------------
@@ -261,6 +310,9 @@ class CompiledWalk:
             "child_count": self.child_count,
             "child_ids": self.child_ids,
             "row_offset": self.row_offset,
+            "label_offset": self.label_offset,
+            "member_labels": self.member_labels,
+            "snap_coords": self.snap_coords,
             "degraded": self.degraded,
             "source": np.asarray(self.source, dtype=np.str_),
             "reason": np.asarray(self.reason, dtype=np.str_),
@@ -302,6 +354,9 @@ class CompiledWalk:
             child_count=child_count,
             child_ids=child_ids,
             row_offset=np.asarray(arrays["row_offset"], dtype=np.int64),
+            label_offset=np.asarray(arrays["label_offset"], dtype=np.int64),
+            member_labels=np.asarray(arrays["member_labels"], dtype=np.int64),
+            snap_coords=np.asarray(arrays["snap_coords"], dtype=float),
             degraded=np.asarray(arrays["degraded"], dtype=bool),
             source=[str(s) for s in arrays["source"]],
             reason=[str(s) for s in arrays["reason"]],
@@ -346,9 +401,13 @@ def compile_walk(
 ) -> CompiledWalk | None:
     """Compile an engine's warmed tree, or return None if not compilable.
 
-    Not compilable means: a reachable internal node has no arithmetic
-    ``child_geometry`` (adaptive tilings like the STR index), a child's
-    path slot disagrees with its list position, a level mixes fanouts
+    Grid and split nodes compile to packed arithmetic, and member nodes
+    (the road-network partition) to one flat label array over the
+    shared snap sites.  Not compilable means: a reachable internal node
+    has no ``child_geometry`` (adaptive tilings like the STR index), a
+    child's path slot disagrees with its list position, member nodes
+    share the tree with box nodes or disagree on their snap sites or
+    label length, a level mixes fanouts
     (its arena would be ragged), or — with ``build_missing=False`` — a
     needed entry is not in the cache.  ``build_missing=True`` solves
     misses through the engine's normal resolve path (counting builds
@@ -419,6 +478,9 @@ def compile_walk(
     child_start = np.empty(n_nodes, dtype=np.int64)
     child_count = np.empty(n_nodes, dtype=np.int64)
     row_offset = np.full(n_nodes, -1, dtype=np.int64)
+    label_offset = np.full(n_nodes, -1, dtype=np.int64)
+    label_blocks: list[np.ndarray] = []
+    sites: np.ndarray | None = None
     degraded = np.zeros(n_nodes, dtype=bool)
     source = ["" for _ in range(n_nodes)]
     reason = ["" for _ in range(n_nodes)]
@@ -454,11 +516,22 @@ def compile_walk(
             gy[node_id] = geometry.gy
             cell_w[node_id] = geometry.cell_w
             cell_h[node_id] = geometry.cell_h
+        elif geometry.kind == "member":
+            if sites is None:
+                sites = np.array(geometry.sites, dtype=float)
+            elif not np.array_equal(sites, geometry.sites):
+                return None  # one snap per batch needs one site set
+            if geometry.labels.shape != (sites.shape[0],):
+                return None
+            label_offset[node_id] = len(label_blocks) * sites.shape[0]
+            label_blocks.append(geometry.labels)
         else:
             split[node_id] = geometry.split
         degraded[node_id] = entry.degraded
         source[node_id] = entry.source
         reason[node_id] = entry.reason or ""
+    if label_blocks and len(label_blocks) != len(matrices):
+        return None  # a tree locates by membership or by boxes, not both
 
     cdf_levels = []
     for lvl in range(n_levels):
@@ -486,6 +559,13 @@ def compile_walk(
         child_count=child_count,
         child_ids=np.asarray(child_ids_list, dtype=np.int64),
         row_offset=row_offset,
+        label_offset=label_offset,
+        member_labels=(
+            np.concatenate(label_blocks).astype(np.int64)
+            if label_blocks
+            else np.empty(0, dtype=np.int64)
+        ),
+        snap_coords=sites if sites is not None else np.empty((0, 2)),
         degraded=degraded,
         source=source,
         reason=reason,

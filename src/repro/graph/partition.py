@@ -21,10 +21,13 @@ unchanged:
   byte-for-byte;
 * ``contains_mask`` is true vertex-set membership, so the engine folds
   the prior onto real regions rather than onto envelopes;
-* ``child_geometry`` returns ``None``: the partition has no arithmetic
-  child layout, which keeps the compiled kernel honest — the engine
-  detects the index as uncompilable and stays on the staged path,
-  exactly like the STR index.
+  ``membership_keys`` exposes the snap, so a caller testing one
+  coordinate set against many nodes snaps it once;
+* ``child_geometry`` is a ``kind="member"`` layout: the per-vertex
+  child-slot labels this index already locates with, plus the vertex
+  coordinates it snaps to.  The compiled kernel snaps each batch once
+  and locates every level with one label gather, bitwise identical to
+  the staged path's per-node snap-and-lookup.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.exceptions import GridError
 from repro.geo.bbox import BoundingBox
 from repro.geo.point import Point
 from repro.graph.city import RoadGraph
-from repro.grid.index import IndexNode, SpatialIndex
+from repro.grid.index import ChildGeometry, IndexNode, SpatialIndex
 
 #: Above this vertex count the medoid is approximated by the vertex
 #: nearest the centroid (the exact medoid is O(k^2) in memory).
@@ -304,10 +307,29 @@ class GraphPartitionIndex(SpatialIndex):
             return np.full(coords.shape[0], -1, dtype=np.int64)
         return vmap[self._graph.nearest_vertices(coords)]
 
-    def contains_mask(self, node: IndexNode, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-        member = self._member[node.path]
-        return member[self._graph.nearest_vertices(coords)]
+    def membership_keys(self, coords: np.ndarray) -> np.ndarray:
+        return self._graph.nearest_vertices(coords)
+
+    def contains_mask(
+        self,
+        node: IndexNode,
+        coords: np.ndarray,
+        keys: np.ndarray | None = None,
+    ) -> np.ndarray:
+        if keys is None:
+            keys = self.membership_keys(coords)
+        return self._member[node.path][keys]
+
+    def child_geometry(self, node: IndexNode) -> ChildGeometry | None:
+        labels = self._child_of_vertex.get(node.path)
+        if labels is None:
+            return None
+        return ChildGeometry(
+            kind="member",
+            fanout=self._fanout,
+            labels=labels,
+            sites=self._graph.coords,
+        )
 
     def max_height(self) -> int:
         return self._height

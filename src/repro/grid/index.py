@@ -78,32 +78,46 @@ class IndexNode:
 
 @dataclass(frozen=True, slots=True)
 class ChildGeometry:
-    """Arithmetic description of one node's child layout.
+    """Array description of one node's child layout.
 
     The compiled walk kernel locates points among a node's children with
-    pure array arithmetic; this record is the per-node recipe, exported
-    by indexes whose children form either a regular ``gx x gy`` grid of
-    equal cells (``kind="grid"``) or a single axis-aligned binary split
-    (``kind="split-x"`` / ``"split-y"``).  Child position must equal the
-    child's ``path[-1]``: row-major ``row * gx + col`` for grids, the
-    0/1 side for splits.  The float fields must be the *same expressions*
-    the index's own ``locate_child_indices`` computes (e.g.
-    ``cell_w = bounds.width / g``), so the kernel's gathered arithmetic
-    is bitwise identical to the staged path's per-node arithmetic.
+    pure array operations; this record is the per-node recipe.  Three
+    layouts compile:
 
-    Indexes with irregular children (e.g. the STR index's quantile
+    * ``kind="grid"`` — a regular ``gx x gy`` grid of equal cells, child
+      position row-major ``row * gx + col``;
+    * ``kind="split-x"`` / ``"split-y"`` — one axis-aligned binary
+      split, child position the 0/1 side;
+    * ``kind="member"`` — membership, for regions that are not boxes
+      (the road-network partition).  A point's *key* is the index of
+      its nearest row of ``sites`` (an ``(k, 2)`` coordinate array
+      shared by every member node of the index); ``labels[key]`` is the
+      child position, or -1 where the key is not a member of the node.
+      Membership is authoritative: the kernel applies no envelope test
+      to member nodes.
+
+    Child position must equal the child's ``path[-1]``.  The float
+    fields must be the *same expressions* the index's own
+    ``locate_child_indices`` computes (e.g. ``cell_w = bounds.width /
+    g``), and ``sites`` must be the coordinates the index snaps to, so
+    the kernel's gathered arithmetic is bitwise identical to the staged
+    path's per-node locate.
+
+    Indexes with irregular box children (e.g. the STR index's quantile
     tiling) return ``None`` from :meth:`SpatialIndex.child_geometry`,
     which makes them uncompilable — the engine then stays on the staged
     path.
     """
 
-    kind: str  # "grid" | "split-x" | "split-y"
+    kind: str  # "grid" | "split-x" | "split-y" | "member"
     fanout: int
     gx: int = 1
     gy: int = 1
     cell_w: float = 0.0
     cell_h: float = 0.0
     split: float = 0.0
+    labels: np.ndarray | None = None
+    sites: np.ndarray | None = None
 
 
 class SpatialIndex(abc.ABC):
@@ -176,15 +190,32 @@ class SpatialIndex(abc.ABC):
                 out[i] = child.path[-1]
         return out
 
-    def contains_mask(self, node: IndexNode, coords: np.ndarray) -> np.ndarray:
+    def membership_keys(self, coords: np.ndarray) -> np.ndarray | None:
+        """Per-coordinate region keys, or None when regions are boxes.
+
+        Indexes whose regions are not boxes return each coordinate's
+        key (the graph partition: its nearest road vertex), so a caller
+        testing the same coordinates against many nodes snaps them once
+        and hands the keys to every :meth:`contains_mask` call.
+        """
+        return None
+
+    def contains_mask(
+        self,
+        node: IndexNode,
+        coords: np.ndarray,
+        keys: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Boolean mask of the coordinates lying in ``node``'s region.
 
         Used by the engine to fold a prior onto a node (e.g. the
         uniform-fallback weights of Algorithm 1).  The default applies
         the half-open convention to the node's box (min-closed /
         max-open), which partitions sibling extents exactly for
-        box-tiled indexes; indexes whose regions are not boxes (the
-        graph partition) override it with true region membership.
+        box-tiled indexes, and ignores ``keys``; indexes whose regions
+        are not boxes (the graph partition) override it with true
+        region membership, read from ``keys`` when the caller passes
+        :meth:`membership_keys` of the same coordinates.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         b = node.bounds
@@ -196,7 +227,7 @@ class SpatialIndex(abc.ABC):
         )
 
     def child_geometry(self, node: IndexNode) -> "ChildGeometry | None":
-        """Arithmetic child layout of ``node``, or None if irregular.
+        """Compilable child layout of ``node``, or None if irregular.
 
         ``None`` (the default) marks the node as uncompilable: the walk
         engine falls back to the staged path for the whole index.

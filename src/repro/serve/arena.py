@@ -49,8 +49,9 @@ from repro.core.kernel import CompiledWalk
 from repro.core.ledger import fsync_directory
 from repro.exceptions import ServeError
 
-#: Manifest format version.
-ARENA_FORMAT = 1
+#: Manifest format version (2: the membership arrays of graph walks;
+#: a format-1 arena lacks them and is refused at open).
+ARENA_FORMAT = 2
 
 #: ``to_arrays`` keys that are scalar metadata, not mappable arrays.
 _META_KEYS = ("budgets", "n_cdf_levels")

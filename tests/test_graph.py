@@ -6,10 +6,14 @@ The graph analogue of ``test_grid_hierarchy``: partition invariants
 gap), metric-axiom properties (Hypothesis: the triangle inequality on
 random weighted graphs), locate agreement between the scalar and
 vectorised paths, and an end-to-end walk with the privacy guard
-enabled at every node mechanism.
+enabled at every node mechanism.  The compiled kernel walks the
+partition through its membership labels; ``TestGraphKernel`` holds it
+byte-identical to the staged walk and through persistence.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.core.cache import NodeMechanismCache
+from repro.core.kernel import KIND_MEMBER, CompiledWalk
 from repro.core.msm import MultiStepMechanism
-from repro.exceptions import GridError, PrivacyViolationError
+from repro.core.resilience import ResilienceConfig, ResilientSolver
+from repro.exceptions import (
+    DegradedModeWarning,
+    GridError,
+    PrivacyViolationError,
+)
 from repro.geo.point import Point
 from repro.graph import (
     GraphMetric,
@@ -30,6 +41,12 @@ from repro.graph import (
 from repro.grid.regular import RegularGrid
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
+from repro.serve.arena import MechanismArena
+from repro.testing.faults import (
+    FaultInjectingSolver,
+    FlakyCacheProxy,
+    RaiseFault,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +218,62 @@ class TestGraphPartitionIndex:
             members[list(kid.vertex_ids)] = True
             assert np.array_equal(mask, members)
 
-    def test_uncompilable_stays_staged(self, partition):
-        assert partition.child_geometry(partition.root) is None
-        for node in partition.children(partition.root):
-            assert partition.child_geometry(node) is None
+    def test_child_geometry_is_vertex_membership(self, partition, city):
+        """Every internal node exports its per-vertex child slots (-1
+        off the node) over the city's own vertex coordinates; leaves
+        export nothing."""
+        stack = [partition.root]
+        while stack:
+            node = stack.pop()
+            kids = partition.children(node)
+            geometry = partition.child_geometry(node)
+            if not kids:
+                assert geometry is None
+                continue
+            assert geometry.kind == "member"
+            assert geometry.fanout == len(kids)
+            assert np.array_equal(geometry.sites, city.coords)
+            assert np.array_equal(
+                geometry.labels,
+                partition.locate_child_indices(node, city.coords),
+            )
+            assert np.array_equal(
+                geometry.labels >= 0, partition.contains_mask(node, city.coords)
+            )
+            stack.extend(kids)
+
+    def test_child_prior_snaps_centres_once_and_stays_bitwise(self, city):
+        """``child_prior`` snaps the prior centres once per engine, and
+        every internal node's child prior equals the per-child snap it
+        replaced, bit for bit."""
+        partition = GraphPartitionIndex(city, fanout=4, height=2)
+        grid = RegularGrid(city.bounds, 9)
+        weights = np.random.default_rng(5).random(grid.n_cells)
+        prior = GridPrior(grid, weights)
+        engine = MultiStepMechanism(
+            partition, (0.8, 0.8), prior, dq=GraphMetric(city)
+        ).engine
+        centers = grid.centers_array()
+        probs = prior.probabilities
+        expected = {}
+        stack = [partition.root]
+        while stack:
+            node = stack.pop()
+            kids = partition.children(node)
+            if kids:
+                masses = np.array(
+                    [probs[partition.contains_mask(k, centers)].sum()
+                     for k in kids]
+                )
+                expected[node.path] = (kids, masses / masses.sum())
+                stack.extend(kids)
+        assert len(expected) == 1 + 4
+        calls = []
+        snap = partition.membership_keys
+        partition.membership_keys = lambda c: calls.append(1) or snap(c)
+        for kids, want in expected.values():
+            assert np.array_equal(engine.child_prior(kids), want)
+        assert len(calls) == 1
 
     def test_too_small_graph_rejected(self):
         g = synthetic_city(blocks=1, seed=0)  # 4 vertices
@@ -247,21 +316,145 @@ class TestGraphWalk:
         assert matrix.shape == (n, n)
         assert np.allclose(matrix.k.sum(axis=1), 1.0)
 
-    def test_uncompilable_index_stays_staged(self, graph_msm, city):
-        """``child_geometry`` is None everywhere, so the kernel compile
-        must refuse the graph index and the engine must keep serving on
-        the staged path — even under ``kernel='always'``."""
-        engine = graph_msm.engine
-        old = engine.kernel
-        try:
-            engine.kernel = "always"
-            assert engine.compile(build=True) is None
-            out = graph_msm.sample_many(
-                [city.vertex_point(1)], np.random.default_rng(1)
-            )
-            assert len(out) == 1
-        finally:
-            engine.kernel = old
+
+def _dead_solver() -> ResilientSolver:
+    return ResilientSolver(
+        ResilienceConfig.starting_with("highs-ds"),
+        solve_fn=FaultInjectingSolver([RaiseFault(message="graph outage")]),
+    )
+
+
+def _graph_pair(graph_msm, drop=None):
+    """Kernel and staged graph MSMs over independent copies of the warm
+    cache; ``drop`` loses one node's entry, which the outage solver
+    then degrades to the exponential mechanism."""
+
+    def make() -> MultiStepMechanism:
+        inner = NodeMechanismCache()
+        inner.merge(graph_msm.cache.snapshot())
+        return MultiStepMechanism(
+            graph_msm.index,
+            graph_msm.budgets,
+            graph_msm.prior,
+            dq=graph_msm.dq,
+            dx=graph_msm.engine.dx,
+            cache=(
+                inner if drop is None
+                else FlakyCacheProxy(inner, drop_paths=[drop])
+            ),
+            solver=None if drop is None else _dead_solver(),
+        )
+
+    kernel_msm, staged_msm = make(), make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegradedModeWarning)
+        kernel_msm.engine.kernel = "always"
+        assert kernel_msm.engine.compile() is not None
+    staged_msm.engine.kernel = "never"
+    return kernel_msm, staged_msm
+
+
+def _outside_envelope_member(partition, city):
+    """A level-1 node and a point outside its envelope that snaps to
+    one of its member vertices (its westmost vertex, nudged west by a
+    quarter of the gap to its nearest neighbour)."""
+    node = partition.children(partition.root)[0]
+    v = min(node.vertex_ids, key=lambda u: city.coords[u, 0])
+    gap = np.hypot(*(city.coords - city.coords[v]).T)
+    gap[v] = np.inf
+    p = Point(float(city.coords[v, 0] - gap.min() / 4), float(city.coords[v, 1]))
+    assert not node.bounds.contains(p)
+    assert city.nearest_vertex(p) == v
+    return node, p
+
+
+def _graph_workload(city, partition, seed: int, n: int = 60) -> list[Point]:
+    b = city.bounds
+    xy = np.random.default_rng(seed).uniform(
+        (b.min_x, b.min_y), (b.max_x, b.max_y), size=(n, 2)
+    )
+    pts = [Point(float(x), float(y)) for x, y in xy]
+    # far outside the city: they snap to boundary vertices, and drift
+    # wherever the walk leaves those vertices' nodes
+    pts += [Point(-50.0, -50.0), Point(1e3, b.min_y), Point(b.max_x, 75.0)]
+    pts.append(_outside_envelope_member(partition, city)[1])
+    return pts
+
+
+class TestGraphKernel:
+    """The compiled walk over membership labels, against the staged
+    walk it re-expresses."""
+
+    def test_engine_compiles_to_member_nodes(self, graph_msm, city):
+        compiled = graph_msm.engine.compile(build=False)
+        assert compiled is not None
+        internal = compiled.child_count > 0
+        assert np.all(compiled.kind[internal] == KIND_MEMBER)
+        assert np.all(compiled.label_offset[~internal] == -1)
+        assert compiled.member_labels.size == internal.sum() * city.n_vertices
+        assert np.array_equal(compiled.snap_coords, city.coords)
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_kernel_matches_staged(self, graph_msm, city, partition,
+                                   degraded, seed):
+        drop = partition.children(partition.root)[1].path if degraded else None
+        kernel_msm, staged_msm = _graph_pair(graph_msm, drop)
+        points = _graph_workload(city, partition, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedModeWarning)
+            a = kernel_msm.sanitize_batch(points, np.random.default_rng(seed))
+            b = staged_msm.sanitize_batch(points, np.random.default_rng(seed))
+        assert [w.point for w in a] == [w.point for w in b]
+        assert [w.trace for w in a] == [w.trace for w in b]
+        assert [w.degradation for w in a] == [w.degradation for w in b]
+        assert any(s.x_hat_random for w in b for s in w.trace)
+        if degraded:
+            steps = [s for w in b for s in w.trace if s.node_path == drop]
+            assert steps and all(s.degraded for s in steps)
+            assert any(not w.degradation.clean for w in a)
+
+    def test_member_node_skips_the_envelope_test(self, graph_msm, city,
+                                                 partition):
+        """A point outside a node's envelope that snaps to a member
+        vertex is located, not drifted, at that node."""
+        node, p = _outside_envelope_member(partition, city)
+        compiled = graph_msm.engine.compile(build=False)
+        node_id = compiled.paths.index(node.path)
+        coords = np.tile([p.x, p.y], (400, 1))
+        _, levels = compiled.walk_arrays(coords, np.random.default_rng(3))
+        at_node = levels[1].ids == node_id
+        assert at_node.any()
+        assert not levels[1].drifted[at_node].any()
+        expect = partition.locate_child(node, p).path[-1]
+        assert np.all(levels[1].x_hat[at_node] == expect)
+
+    def test_arrays_round_trip(self, graph_msm):
+        compiled = graph_msm.engine.compile(build=False)
+        clone = CompiledWalk.from_arrays(compiled.to_arrays())
+        assert compiled.equals(clone)
+        assert clone.paths == compiled.paths
+
+    def test_arena_round_trips_and_walks_bitwise(self, graph_msm, city,
+                                                 partition, tmp_path):
+        compiled = graph_msm.engine.compile(build=False)
+        MechanismArena.freeze(compiled, tmp_path / "graph.arena")
+        mapped = MechanismArena.open(tmp_path / "graph.arena").compiled()
+        assert mapped.equals(compiled)
+        coords = np.array(
+            [(p.x, p.y) for p in _graph_workload(city, partition, 11, 500)]
+        )
+        direct, direct_levels = compiled.walk_arrays(
+            coords, np.random.default_rng(11)
+        )
+        opened, opened_levels = mapped.walk_arrays(
+            coords, np.random.default_rng(11)
+        )
+        assert np.array_equal(direct, opened)
+        for a, b in zip(direct_levels, opened_levels, strict=True):
+            assert np.array_equal(a.x_hat, b.x_hat)
+            assert np.array_equal(a.reported, b.reported)
 
 
 @pytest.mark.statistical

@@ -266,6 +266,21 @@ class TestCompileContract:
         assert compiled.equals(clone)
         assert clone.paths == compiled.paths
 
+    def test_box_indexes_compile_without_membership_or_snap(self):
+        """Planar trees carry empty membership arrays, and their walk
+        never builds the snap tree."""
+        msm = _gihi_msm()
+        msm.precompute()
+        compiled = msm.engine.compile(build=False)
+        assert np.all(compiled.label_offset == -1)
+        assert compiled.member_labels.size == 0
+        assert compiled.snap_coords.shape == (0, 2)
+        compiled.walk_arrays(
+            np.array([(p.x, p.y) for p in _workload(SEED)]),
+            np.random.default_rng(SEED),
+        )
+        assert compiled._snap_tree is None
+
     def test_auto_mode_keeps_small_batches_staged(self):
         msm = _gihi_msm(granularity=2)
         msm.precompute()
@@ -480,6 +495,34 @@ class TestKernelSidecar:
         assert quarantined
         # serving is unaffected: the fresh compile took over
         assert warm.engine.compiled is not None
+
+    def test_sidecar_without_membership_arrays_is_quarantined(
+        self, tmp_path
+    ):
+        """A sidecar written before the membership arrays existed fails
+        to load, is quarantined, and the fresh compile serves."""
+        store = MechanismStore(tmp_path / "store")
+        store.get_or_build(_gihi_msm())
+        sidecar = store.kernel_path_for(_gihi_msm())
+        with np.load(sidecar) as data:
+            arrays = {
+                key: value
+                for key, value in data.items()
+                if key not in ("label_offset", "member_labels", "snap_coords")
+            }
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **arrays)
+        MechanismStore.checksum_path(sidecar).write_text(
+            hashlib.sha256(sidecar.read_bytes()).hexdigest() + "\n"
+        )
+        warm = _gihi_msm()
+        record = store.warm_start(warm)
+        assert record is not None and record.outcome == "hit"
+        assert not sidecar.exists()
+        assert list((store.root / ".quarantine").glob("*.kernel.npz*"))
+        assert warm.engine.compiled.equals(
+            compile_walk(warm.engine, build_missing=False)
+        )
 
     def test_dilation_is_part_of_the_fingerprint(self):
         assert config_fingerprint(_gihi_msm()) != config_fingerprint(
