@@ -1,19 +1,15 @@
-"""Serial vs kernel vs sharded walk-engine throughput.
+"""Staged vs kernel walk-engine throughput.
 
 Runs the same >= 50k-point warm-cache workload through the unified
-:class:`~repro.core.engine.WalkEngine` three ways:
+:class:`~repro.core.engine.WalkEngine` two ways, both in-process:
 
-* **serial** — :class:`~repro.core.engine.SerialExecution` on the
-  staged walk: one vectorised pipeline in-process, per-level Python
-  grouping, full traces;
-* **kernel** — the same serial executor on the compiled array walk
-  (:mod:`repro.core.kernel`): the tree flattened to CSR arrays and
-  per-level CDF arenas, traces off (the hot serving configuration).
-  Drawn from the same seed as the serial run, so the bench also
-  *verifies* the two paths sample identical points;
-* **sharded** — :class:`~repro.core.engine.ShardedExecution`: the batch
-  partitioned by top-level index node across a process pool, one seeded
-  RNG stream per shard, per-shard results and cache entries merged back.
+* **staged** — the object-world walk: per-level Python grouping by
+  node, the cache and resilient solver on the path, full traces;
+* **kernel** — the compiled array walk (:mod:`repro.core.kernel`): the
+  tree flattened to CSR arrays and per-level CDF arenas, traces off
+  (the hot serving configuration).  Drawn from the same seed as the
+  staged run, so the bench also *verifies* the two paths sample
+  identical points.
 
 Results go to ``BENCH_engine.json`` at the repository root (committed,
 so the README table has an auditable source), wrapped in the versioned
@@ -30,14 +26,6 @@ parses it); ``--trace-out PATH`` additionally records span trees.
 ``--points N`` shrinks the workload for smoke runs (the result file is
 only written at the full default size, so smoke runs cannot clobber the
 committed benchmark).
-
-Honesty note: process sharding can only beat the serial pipeline when
-more than one core is actually available.  The recorded result includes
-``cpu_count`` and ``workers``; the >= 2x acceptance assertion is made
-only when the machine has >= 2 cores (CI runners do), and the committed
-JSON states which regime produced it.  On a single-core machine the
-sharded path deliberately falls back to serial — the speedup then is
-~1.0 by design, not a regression.
 """
 
 from __future__ import annotations
@@ -59,7 +47,6 @@ from common import (
     uniform_workload,
     write_bench_artifact,
 )
-from repro.core.engine import SerialExecution, ShardedExecution
 
 #: Where the committed result lands.
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
@@ -70,19 +57,19 @@ N_POINTS = 50_000
 #: The engine bench's workload stream name.
 WORKLOAD_STREAM = "engine-workload"
 
+#: The artifact's benchmark name.
+BENCHMARK = "walk-engine-staged-vs-kernel"
+
 
 def run_benchmark(n: int = N_POINTS) -> dict:
-    """Time both execution policies on identical warm-cache workloads."""
+    """Time the staged and the compiled walk on one warm workload."""
     msm = build_gihi_msm()
     points = uniform_workload(n, WORKLOAD_STREAM)
-    cpu_count = os.cpu_count() or 1
-    workers = min(cpu_count, GRANULARITY * GRANULARITY)
 
-    msm.executor = SerialExecution()
     msm.engine.kernel = "never"
     start = time.perf_counter()
-    serial = msm.sanitize_batch(points, rng("engine-serial"))
-    serial_seconds = time.perf_counter() - start
+    staged = msm.sanitize_batch(points, rng("engine-serial"))
+    staged_seconds = time.perf_counter() - start
 
     compiled = msm.engine.compile()
     assert compiled is not None, "warm GIHI tree must compile"
@@ -92,74 +79,45 @@ def run_benchmark(n: int = N_POINTS) -> dict:
     kernel_seconds = time.perf_counter() - start
     # same seed, same distribution, same *bytes*: the fused kernel is a
     # re-expression of the staged walk, not a different mechanism
-    assert all(a.point == b.point for a, b in zip(serial, kernel))
+    assert len(staged) == len(kernel) == n
+    assert all(a.point == b.point for a, b in zip(staged, kernel))
 
-    msm.executor = ShardedExecution(max_workers=workers, min_batch_size=0)
-    msm.engine.kernel = "never"
-    start = time.perf_counter()
-    sharded = msm.sanitize_batch(points, rng("engine-sharded"))
-    sharded_seconds = time.perf_counter() - start
-
-    assert len(serial) == len(kernel) == len(sharded) == n
     return {
-        "benchmark": "walk-engine-serial-vs-sharded",
+        "benchmark": BENCHMARK,
         "n_points": n,
         "index": f"GIHI g={GRANULARITY} h={HEIGHT}",
         "budgets": list(BUDGETS),
         "seed": ROOT_SEED,
         "python": platform.python_version(),
-        "cpu_count": cpu_count,
-        "workers": workers,
-        "single_core_machine": cpu_count < 2,
-        # which sharded-throughput regime the recorded numbers belong
-        # to: "multicore" runs are gated on the >= 2x criterion,
-        # "none" (single-core serial fallback) is exempt — `repro
-        # bench compare` skips the sharded band accordingly
-        "expected_gate": "none" if cpu_count < 2 else "multicore",
-        "serial_seconds": round(serial_seconds, 4),
+        "cpu_count": os.cpu_count() or 1,
+        "staged_seconds": round(staged_seconds, 4),
         "kernel_seconds": round(kernel_seconds, 4),
-        "sharded_seconds": round(sharded_seconds, 4),
-        "serial_points_per_second": round(n / serial_seconds, 1),
+        "staged_points_per_second": round(n / staged_seconds, 1),
         "kernel_points_per_second": round(n / kernel_seconds, 1),
-        "sharded_points_per_second": round(n / sharded_seconds, 1),
-        "kernel_speedup": round(serial_seconds / kernel_seconds, 2),
-        "speedup": round(serial_seconds / sharded_seconds, 2),
-        "note": (
-            "sharded falls back to the serial pipeline on single-core "
-            "machines; the >= 2x criterion applies on multi-core hosts "
-            "(e.g. the CI smoke step)"
-            if cpu_count < 2
-            else "multi-core run; >= 2x criterion applies"
-        ),
+        "kernel_speedup": round(staged_seconds / kernel_seconds, 2),
     }
 
 
-def test_sharded_throughput():
-    """Acceptance: >= 2x over serial on >= 50k points (multi-core hosts).
-
-    On a single-core machine the sharded executor's serial fallback is
-    the correct behaviour, so only result integrity is asserted there.
-    The compiled-kernel criterion (>= 5x over the staged serial walk)
-    is a ratio, so it applies on every host.
-    """
+def test_kernel_throughput():
+    """Acceptance: the compiled kernel walks >= 5x faster than the
+    staged walk on >= 50k points (a ratio, so it applies on every
+    host)."""
     result = run_benchmark()
-    write_bench_artifact("walk-engine-serial-vs-sharded", result, RESULT_PATH)
+    write_bench_artifact(BENCHMARK, result, RESULT_PATH)
     assert result["kernel_speedup"] >= 5.0, result
-    if result["cpu_count"] >= 2:
-        assert result["speedup"] >= 2.0, result
-    else:
-        assert result["sharded_points_per_second"] > 0, result
 
 
 def run_instrumented(
     n: int, metrics_path: str | None, trace_path: str | None
 ) -> dict:
-    """Serial + sharded run with a live registry; dump telemetry.
+    """One staged and one kernel batch with a live registry; dump
+    telemetry.
 
     Separate from :func:`run_benchmark` on purpose: the committed
     throughput numbers come from the *disabled* path, while this one
     exists so CI can validate that the observability layer produces a
-    parseable Prometheus dump covering the engine's metric glossary.
+    parseable Prometheus dump covering the engine's metric glossary
+    (the staged batch emits every span stage, ``resolve`` included).
     """
     from repro.obs import Observability
     from repro.obs.export import to_jsonl, to_prometheus
@@ -167,16 +125,16 @@ def run_instrumented(
     obs = Observability.collecting(trace=trace_path is not None)
     msm = build_gihi_msm(obs=obs)
     points = uniform_workload(n, WORKLOAD_STREAM)
-    cpu_count = os.cpu_count() or 1
-    workers = min(cpu_count, GRANULARITY * GRANULARITY)
 
-    msm.executor = SerialExecution()
-    serial = msm.sanitize_batch_report(points, rng("engine-serial"))
+    msm.engine.kernel = "never"
+    staged = msm.sanitize_batch_report(points, rng("engine-serial"))
+    assert msm.engine.compile() is not None, "warm GIHI tree must compile"
+    msm.engine.kernel = "always"
+    kernel = msm.sanitize_batch_report(
+        points, rng("engine-serial"), trace=False
+    )
 
-    msm.executor = ShardedExecution(max_workers=workers, min_batch_size=0)
-    sharded = msm.sanitize_batch_report(points, rng("engine-sharded"))
-
-    assert len(serial) == len(sharded) == n
+    assert len(staged) == len(kernel) == n
     if metrics_path is not None:
         text = to_prometheus(obs.snapshot())
         if metrics_path == "-":
@@ -188,11 +146,11 @@ def run_instrumented(
     return {
         "benchmark": "walk-engine-instrumented-smoke",
         "n_points": n,
-        "serial_points_per_second": round(
-            serial.telemetry.points_per_second, 1
+        "staged_points_per_second": round(
+            staged.telemetry.points_per_second, 1
         ),
-        "sharded_points_per_second": round(
-            sharded.telemetry.points_per_second, 1
+        "kernel_points_per_second": round(
+            kernel.telemetry.points_per_second, 1
         ),
         "metrics": metrics_path,
         "trace": trace_path,
@@ -228,9 +186,7 @@ def main(argv: list[str] | None = None) -> None:
 
     result = run_benchmark(args.points)
     if args.points == N_POINTS:
-        write_bench_artifact(
-            "walk-engine-serial-vs-sharded", result, RESULT_PATH
-        )
+        write_bench_artifact(BENCHMARK, result, RESULT_PATH)
     print(json.dumps(result, indent=2))
 
 

@@ -94,18 +94,12 @@ DEFAULT_TOLERANCES: dict[str, Tolerance] = {
 #: ``BENCH_*.json`` files).  All throughputs or throughput ratios, so
 #: they share the machine-dependent 45% floor band.
 BENCH_TOLERANCES: dict[str, Tolerance] = {
-    "serial_points_per_second": Tolerance("lower_is_worse", 0.45),
+    "staged_points_per_second": Tolerance("lower_is_worse", 0.45),
     "kernel_points_per_second": Tolerance("lower_is_worse", 0.45),
-    "sharded_points_per_second": Tolerance("lower_is_worse", 0.45),
     "kernel_speedup": Tolerance("lower_is_worse", 0.45),
+    # BENCH_batch: one batch call vs one call per point
     "speedup": Tolerance("lower_is_worse", 0.45),
 }
-
-#: The sharded-throughput band: only meaningful when process sharding
-#: can actually win, i.e. on multi-core hosts.  When either artifact
-#: declares ``expected_gate == "none"`` (single-core serial fallback)
-#: these metrics are skipped rather than compared across regimes.
-_SHARDED_METRICS = frozenset({"sharded_points_per_second", "speedup"})
 
 
 def parse_tolerance_overrides(
@@ -189,22 +183,6 @@ def _cells_by_id(artifact: Mapping[str, Any]) -> dict[str, dict]:
     return {cell["cell_id"]: cell for cell in artifact["cells"]}
 
 
-def _declared_gate(artifact: Mapping[str, Any]) -> str:
-    """A bench artifact's sharded-throughput regime.
-
-    Prefers the recorded ``expected_gate`` field; artifacts that
-    predate it fall back to the recorded ``cpu_count``.
-    """
-    results = artifact.get("results", {})
-    gate = results.get("expected_gate")
-    if gate is not None:
-        return str(gate)
-    cpu = results.get(
-        "cpu_count", artifact.get("host", {}).get("cpu_count", 1)
-    )
-    return "none" if int(cpu) < 2 else "multicore"
-
-
 def _compare_bench(
     run: Mapping[str, Any],
     baseline: Mapping[str, Any],
@@ -221,15 +199,10 @@ def _compare_bench(
         metric: (tolerances or {}).get(metric, tol)
         for metric, tol in BENCH_TOLERANCES.items()
     }
-    skip_sharded = (
-        _declared_gate(run) == "none" or _declared_gate(baseline) == "none"
-    )
     run_results = run.get("results", {})
     base_results = baseline.get("results", {})
     verdicts: list[MetricVerdict] = []
     for metric, tol in gated.items():
-        if skip_sharded and metric in _SHARDED_METRICS:
-            continue
         base_value = base_results.get(metric)
         if base_value is None:
             continue  # baseline predates the metric: nothing to gate

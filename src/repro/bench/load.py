@@ -23,8 +23,7 @@ case for hash sharding):
 
 Honesty on small hosts: the pool cannot beat one core with one core.
 The result records ``cpu_count``, flags ``single_core_machine``, and
-sets ``expected_gate`` accordingly (the same convention as
-``benchmarks/bench_engine.py``); the ≥10× assertion is only armed on
+sets ``expected_gate`` accordingly; the ≥10× assertion is only armed on
 a multi-core host, and a committed single-core artifact documents the
 serial fallback rather than fabricating a speedup.
 """

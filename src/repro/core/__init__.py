@@ -19,11 +19,7 @@ from repro.core.ledger import (
 )
 from repro.core.store import MechanismStore, StoreRecord, config_fingerprint
 from repro.core.engine import (
-    ExecutionPolicy,
     OptimalRemapPostProcessor,
-    PostProcessor,
-    SerialExecution,
-    ShardedExecution,
     TelemetrySummary,
     WalkEngine,
     WalkReport,
@@ -50,7 +46,6 @@ __all__ = [
     "CircuitBreakerSolver",
     "DegradationReport",
     "DegradedNode",
-    "ExecutionPolicy",
     "LedgerReplay",
     "MechanismStore",
     "OpenReservation",
@@ -60,9 +55,6 @@ __all__ = [
     "StoreRecord",
     "config_fingerprint",
     "OptimalRemapPostProcessor",
-    "PostProcessor",
-    "SerialExecution",
-    "ShardedExecution",
     "ResilienceConfig",
     "ResilientSolver",
     "SanitizationSession",

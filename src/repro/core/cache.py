@@ -130,8 +130,7 @@ class NodeMechanismCache:
 
     # ------------------------------------------------------------------
     # pickling — locks cannot cross process boundaries; everything else
-    # (store content, counters, budget) travels with the engine to
-    # worker shards exactly as before.
+    # (store content, counters, budget) travels with the pickled cache.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -378,7 +377,8 @@ class NodeMechanismCache:
             return dict(self._store)
 
     def merge(self, entries: dict[tuple[int, ...], CacheEntry]) -> int:
-        """Adopt entries solved elsewhere (e.g. by a worker shard).
+        """Adopt entries solved elsewhere (e.g. another cache's
+        :meth:`snapshot`).
 
         Already-known paths are kept as-is — the local entry was solved
         and guarded first, and identical inputs yield identical LPs, so

@@ -5,8 +5,8 @@ through a single staged pipeline owned by :class:`WalkEngine`:
 
     locate  → resolve → sample  → descend → finalise
     (snap     (cache /   (vector-  (pick      (optional
-    to a      resilient  ised CDF  reported   post-processing,
-    child)    solver)    draw)     child)     e.g. optimal remap)
+    to a      resilient  ised CDF  reported   optimal
+    child)    solver)    draw)     child)     remap)
 
 The scalar path is literally a batch of one:
 :meth:`~repro.core.msm.MultiStepMechanism.sample_with_report` calls the
@@ -15,28 +15,17 @@ same engine code as
 are byte-identical under a shared seed — there is no second walk
 implementation to drift out of sync.
 
-*How* the engine runs a batch is a pluggable
-:class:`ExecutionPolicy`: :class:`SerialExecution` walks the whole
-batch in-process (the right default below ~10k points or on one core),
-while :class:`ShardedExecution` partitions the batch by top-level index
-node, walks each shard in a worker process with its own seeded RNG
-stream, and merges the per-shard :class:`WalkResult` lists — traces,
-degradation reports and newly solved cache entries included — back
-into input order.
-
-*What happens after* the walk is a pluggable :class:`PostProcessor`:
-:class:`OptimalRemapPostProcessor` applies the optimal Bayesian remap
-of Chatzikokolakis et al. ("Trading Optimality for Performance in
-Location Privacy"), a deterministic output-only transformation that by
-the data-processing inequality never weakens GeoInd and never
-increases posterior-expected loss.
+Every batch walks in-process, on the compiled kernel when the warmed
+tree compiles and on the staged pipeline otherwise.  The optional
+finalise step is :class:`OptimalRemapPostProcessor`, the optimal
+Bayesian remap of Chatzikokolakis et al. ("Trading Optimality for
+Performance in Location Privacy"): a deterministic output-only
+transformation that by the data-processing inequality never weakens
+GeoInd and never increases posterior-expected loss.
 """
 
 from __future__ import annotations
 
-import abc
-import os
-import pickle
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -52,19 +41,13 @@ from repro.exceptions import (
 )
 from repro.geo.metric import EUCLIDEAN, Metric
 from repro.geo.point import Point, points_to_array
+from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.index import IndexNode, SpatialIndex
 from repro.mechanisms.exponential import exponential_matrix_from_locations
 from repro.mechanisms.matrix import MechanismMatrix
 from repro.mechanisms.optimal import optimal_mechanism_from_locations
 from repro.mechanisms.remap import optimal_remap_assignment
-from repro.obs import (
-    NOOP,
-    SIZE_EDGES,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NoopTracer,
-    Observability,
-)
+from repro.obs import NOOP, MetricsSnapshot, Observability
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import CacheEntry, NodeMechanismCache
@@ -96,10 +79,9 @@ class StepTrace:
 class WalkResult:
     """A sanitised point plus the full account of how it was produced.
 
-    ``raw_point`` is set by post-processing stages (e.g. the optimal
-    remap) to the point the walk itself produced, so provenance
-    survives output transformations; it is None when no post-processor
-    ran.
+    ``raw_point`` is set by the finalise step (the optimal remap) to
+    the point the walk itself produced, so provenance survives the
+    output transformation; it is None when no remap ran.
     """
 
     point: Point
@@ -154,26 +136,9 @@ class WalkReport:
 
 
 # ----------------------------------------------------------------------
-# post-processing stage
+# the finalise step
 # ----------------------------------------------------------------------
-class PostProcessor(abc.ABC):
-    """The finalise stage: an output-only transformation of walk results.
-
-    Implementations must be *deterministic functions of the output*
-    (plus public knowledge such as the prior), so that by the
-    data-processing inequality they cannot weaken the GeoInd guarantee
-    the walk already established.
-    """
-
-    #: short label recorded in provenance / tables
-    name: str = "post"
-
-    @abc.abstractmethod
-    def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
-        """Transform a batch of walk results (same length, same order)."""
-
-
-class OptimalRemapPostProcessor(PostProcessor):
+class OptimalRemapPostProcessor:
     """Optimal Bayesian remap over the walk's leaf outputs.
 
     On observing walk output ``z``, report instead the leaf centre
@@ -191,9 +156,15 @@ class OptimalRemapPostProcessor(PostProcessor):
     the prior-expected loss of the end-to-end mechanism.
     """
 
+    #: short label recorded in the ``finalise`` span
     name = "optimal-remap"
 
     def __init__(self, msm: "MultiStepMechanism", dq: Metric | None = None):
+        if not isinstance(msm.index, HierarchicalGrid):
+            raise MechanismError(
+                f"the optimal remap needs a HierarchicalGrid index, got "
+                f"{type(msm.index).__name__}"
+            )
         self._msm = msm
         self._dq = dq
         self._table: dict[int, Point] | None = None
@@ -249,6 +220,7 @@ class OptimalRemapPostProcessor(PostProcessor):
         }
 
     def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
+        """Remap every walk output, keeping it as ``raw_point``."""
         table = self.table
         grid = self._leaf_grid
         out: list[WalkResult] = []
@@ -265,283 +237,6 @@ class OptimalRemapPostProcessor(PostProcessor):
 
 
 # ----------------------------------------------------------------------
-# execution policies
-# ----------------------------------------------------------------------
-class ExecutionPolicy(abc.ABC):
-    """How a batch of walks is scheduled onto hardware.
-
-    Policies only decide *where* :meth:`WalkEngine.walk` runs; the walk
-    semantics (and hence the privacy guarantee) are identical under
-    every policy.
-    """
-
-    #: short label recorded in benchmarks
-    name: str = "policy"
-
-    @abc.abstractmethod
-    def execute(
-        self,
-        engine: "WalkEngine",
-        points: list[Point],
-        rng: np.random.Generator,
-        trace: bool = True,
-    ) -> list[WalkResult]:
-        """Run the engine over ``points`` and return per-point results."""
-
-
-class SerialExecution(ExecutionPolicy):
-    """Walk the whole batch in-process (one vectorised pipeline)."""
-
-    name = "serial"
-
-    def execute(
-        self,
-        engine: "WalkEngine",
-        points: list[Point],
-        rng: np.random.Generator,
-        trace: bool = True,
-    ) -> list[WalkResult]:
-        return engine.walk(points, rng, trace=trace)
-
-
-def _run_shard(
-    engine: "WalkEngine",
-    points: list[Point],
-    stream: "np.random.Generator | np.random.SeedSequence",
-    trace: bool = True,
-) -> tuple[
-    list[WalkResult],
-    dict[tuple[int, ...], CacheEntry],
-    float,
-    "MetricsSnapshot | None",
-]:
-    """Worker entry point: walk one shard with its own seeded stream.
-
-    Returns the shard's results plus the worker cache content, LP
-    wall-clock, and — when the parent runs with observability — the
-    shard's own metrics snapshot, so the parent can adopt newly solved
-    nodes and merge per-shard telemetry without losing attribution.
-    Module-level so it pickles under every multiprocessing start method.
-
-    The worker always rebinds a *fresh* registry: the pickled engine
-    carries the parent's registry contents, and walking into those would
-    double-count the parent's history once the snapshot merges back.
-    Spans are not recorded in workers (they cannot cross the process
-    boundary meaningfully); per-shard structure is visible through the
-    ``shard.merge`` spans the parent emits instead.
-    """
-    parent_obs = engine.observability
-    if parent_obs.enabled:
-        engine.bind_observability(
-            Observability(
-                metrics=MetricsRegistry(), tracer=NoopTracer(), enabled=True
-            )
-        )
-    rng = np.random.default_rng(stream)
-    results = engine.walk(points, rng, postprocess=False, trace=trace)
-    shard_metrics = (
-        engine.observability.snapshot() if parent_obs.enabled else None
-    )
-    return results, engine.cache.snapshot(), engine.lp_seconds, shard_metrics
-
-
-class ShardedExecution(ExecutionPolicy):
-    """Partition a batch by top-level index node across worker processes.
-
-    Each shard holds the points whose *actual* location falls in the
-    same child of the root (points outside the domain form one extra
-    shard), walks in its own process with an independent RNG stream
-    spawned from the caller's generator
-    (:meth:`numpy.random.Generator.spawn`), and returns full per-point
-    provenance.  The parent merges shard results back into input order
-    and adopts every node mechanism the workers solved, so a sharded
-    run warms the parent cache exactly like a serial one.
-
-    Outputs are *distribution-identical* to serial execution but not
-    bit-identical under a shared seed (shards consume independent
-    streams); the equivalence is verified statistically in
-    ``tests/test_engine.py``.
-
-    The policy degrades gracefully: batches smaller than
-    ``min_batch_size``, machines without a usable worker pool, single
-    shards, or engines that cannot be pickled all fall back to the
-    serial pipeline — never to an error.
-
-    Parameters
-    ----------
-    max_workers:
-        Worker-process cap; defaults to the CPU count visible to this
-        process.  Parallel speedup obviously requires > 1 core.
-    min_batch_size:
-        Batches below this size skip the pool (fork + pickle overhead
-        would dominate); the default keeps single-point calls — the
-        scalar path — on the serial fast path.
-    mp_start_method:
-        ``multiprocessing`` start method; ``fork`` (where available)
-        shares the parent's warm cache with workers for free.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        min_batch_size: int = 2048,
-        mp_start_method: str | None = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise MechanismError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self._max_workers = max_workers
-        self._min_batch_size = min_batch_size
-        self._mp_start_method = mp_start_method
-
-    @property
-    def max_workers(self) -> int:
-        """The effective worker cap on this machine."""
-        if self._max_workers is not None:
-            return self._max_workers
-        return os.cpu_count() or 1
-
-    def shard_keys(
-        self, engine: "WalkEngine", coords: np.ndarray
-    ) -> np.ndarray:
-        """Top-level child index per point (-1 for out-of-domain)."""
-        index = engine.index
-        return index.locate_child_indices(index.root, coords)
-
-    def partition(
-        self, engine: "WalkEngine", points: list[Point]
-    ) -> list[list[int]]:
-        """Point indices grouped by shard key, in deterministic order."""
-        coords = points_to_array(points)
-        keys = self.shard_keys(engine, coords)
-        shards: dict[int, list[int]] = {}
-        for i, key in enumerate(keys):
-            shards.setdefault(int(key), []).append(i)
-        return [shards[key] for key in sorted(shards)]
-
-    def _serial_fallback(
-        self,
-        engine: "WalkEngine",
-        points: list[Point],
-        rng: np.random.Generator,
-        reason: str,
-        trace: bool = True,
-    ) -> list[WalkResult]:
-        """Run the batch serially, recording why sharding stood down.
-
-        The fallback runs through the engine's own instrumented
-        :meth:`WalkEngine.walk`, so per-level LP timing attribution is
-        identical to a sharded run's merged worker registries — the
-        fallback never collapses attribution into an unlabeled bucket.
-        """
-        obs = engine.observability
-        if obs.enabled:
-            obs.metrics.counter(
-                "repro_exec_serial_fallback_total", reason=reason
-            ).inc()
-        return engine.walk(points, rng, trace=trace)
-
-    def execute(
-        self,
-        engine: "WalkEngine",
-        points: list[Point],
-        rng: np.random.Generator,
-        trace: bool = True,
-    ) -> list[WalkResult]:
-        shards = self.partition(engine, points)
-        workers = min(self.max_workers, len(shards))
-        if len(points) < self._min_batch_size:
-            return self._serial_fallback(
-                engine, points, rng, "small_batch", trace=trace
-            )
-        if len(shards) < 2:
-            return self._serial_fallback(
-                engine, points, rng, "single_shard", trace=trace
-            )
-        if workers < 2:
-            return self._serial_fallback(
-                engine, points, rng, "few_workers", trace=trace
-            )
-        worker_engine = engine.worker_copy()
-        try:
-            payload = pickle.dumps(worker_engine)
-        except Exception as exc:  # unpicklable solver/cache injections
-            warnings.warn(
-                f"sharded execution unavailable (engine not picklable: "
-                f"{exc}); falling back to serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return self._serial_fallback(
-                engine, points, rng, "unpicklable", trace=trace
-            )
-        del payload
-        seeds = rng.spawn(len(shards))
-        results: list[WalkResult | None] = [None] * len(points)
-        import concurrent.futures
-        import multiprocessing
-
-        method = self._mp_start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-        context = (
-            multiprocessing.get_context(method)
-            if method is not None
-            else multiprocessing.get_context()
-        )
-        obs = engine.observability
-        if obs.enabled:
-            obs.metrics.counter("repro_shards_total").inc(len(shards))
-            shard_sizes = obs.metrics.histogram(
-                "repro_shard_points", edges=SIZE_EDGES
-            )
-            for shard in shards:
-                shard_sizes.observe(len(shard))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _run_shard,
-                    worker_engine,
-                    [points[i] for i in shard],
-                    seed,
-                    trace,
-                )
-                for shard, seed in zip(shards, seeds)
-            ]
-            for shard_id, (shard, future) in enumerate(zip(shards, futures)):
-                shard_results, entries, lp_seconds, shard_metrics = (
-                    future.result()
-                )
-                for i, walk in zip(shard, shard_results):
-                    results[i] = walk
-                merge_start = time.perf_counter()
-                with obs.tracer.span(
-                    "shard.merge", shard=shard_id, n=len(shard)
-                ):
-                    engine.cache.merge(entries)
-                    engine.add_lp_seconds(lp_seconds)
-                    if obs.enabled and shard_metrics is not None:
-                        obs.metrics.merge(shard_metrics)
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "repro_shard_lp_seconds_total", shard=shard_id
-                    ).inc(lp_seconds)
-                    obs.metrics.counter(
-                        "repro_shard_merge_seconds_total"
-                    ).inc(time.perf_counter() - merge_start)
-        return engine.finalise([w for w in results if w is not None])
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 class WalkEngine:
@@ -552,8 +247,9 @@ class WalkEngine:
     and exposes the stages — :meth:`locate`, :meth:`resolve_many`,
     :meth:`sample`, :meth:`finalise` — plus the :meth:`walk` loop that
     strings them together.  :class:`~repro.core.msm.MultiStepMechanism`
-    is a thin facade over an engine; execution policies schedule it;
-    post-processors transform its output.
+    is a thin facade over an engine.  ``postprocessor`` is the optional
+    finalise step (the optimal remap), wired by
+    :meth:`~repro.core.msm.MultiStepMechanism.enable_remap`.
     """
 
     def __init__(
@@ -569,8 +265,6 @@ class WalkEngine:
         degrade: bool = True,
         guard: bool = True,
         cache: NodeMechanismCache | None = None,
-        executor: ExecutionPolicy | None = None,
-        postprocessor: PostProcessor | None = None,
         obs: Observability | None = None,
         kernel: str = "auto",
         kernel_min_batch: int = 1024,
@@ -590,8 +284,7 @@ class WalkEngine:
         self._degrade = degrade
         self._guard = guard
         self._cache = cache if cache is not None else NodeMechanismCache()
-        self._executor = executor if executor is not None else SerialExecution()
-        self._postprocessor = postprocessor
+        self.postprocessor: OptimalRemapPostProcessor | None = None
         self._lp_seconds = 0.0
         self._kernel = kernel
         self.kernel_min_batch = int(kernel_min_batch)
@@ -682,53 +375,6 @@ class WalkEngine:
         """Cumulative wall-clock spent solving per-node LPs."""
         return self._lp_seconds
 
-    def add_lp_seconds(self, seconds: float) -> None:
-        """Fold in LP wall-clock accrued elsewhere (worker shards)."""
-        self._lp_seconds += float(seconds)
-
-    @property
-    def executor(self) -> ExecutionPolicy:
-        return self._executor
-
-    @executor.setter
-    def executor(self, policy: ExecutionPolicy) -> None:
-        self._executor = policy
-
-    @property
-    def postprocessor(self) -> PostProcessor | None:
-        return self._postprocessor
-
-    @postprocessor.setter
-    def postprocessor(self, post: PostProcessor | None) -> None:
-        self._postprocessor = post
-
-    def worker_copy(self) -> "WalkEngine":
-        """A copy suitable for a worker process: serial, no post stage.
-
-        Workers share the parent's (forked or pickled) cache content
-        but must not recurse into a pool of their own, and
-        post-processing runs exactly once, in the parent, after the
-        merge.
-        """
-        return WalkEngine(
-            self._index,
-            self._budgets,
-            self._prior,
-            dq=self._dq,
-            dx=self._dx,
-            backend=self._backend,
-            spanner_dilation=self._spanner_dilation,
-            solver=self._solver,
-            degrade=self._degrade,
-            guard=self._guard,
-            cache=self._cache,
-            executor=SerialExecution(),
-            postprocessor=None,
-            obs=self._obs,
-            kernel=self._kernel,
-            kernel_min_batch=self.kernel_min_batch,
-        )
-
     # ------------------------------------------------------------------
     # the compiled kernel
     # ------------------------------------------------------------------
@@ -785,24 +431,19 @@ class WalkEngine:
         rng: np.random.Generator,
         trace: bool = True,
     ) -> list[WalkResult]:
-        """Sanitise ``points`` under the configured execution policy.
+        """Sanitise ``points`` in-process, with batch metrics when
+        observability is on.
 
         ``trace=False`` skips per-point :class:`StepTrace`
         materialisation (results carry an empty trace tuple); sampled
         points, degradation reports and telemetry are unaffected.
         """
         points = list(points)
-        if not points:
-            return []
-        if not self._index.children(self._index.root):
-            raise MechanismError(
-                "index root has no children; nothing to report"
-            )
-        if not self._obs.enabled:
-            return self._executor.execute(self, points, rng, trace=trace)
+        if not self._obs.enabled or not points:
+            return self.walk(points, rng, trace=trace)
         metrics = self._obs.metrics
         start = time.perf_counter()
-        results = self._executor.execute(self, points, rng, trace=trace)
+        results = self.walk(points, rng, trace=trace)
         elapsed = time.perf_counter() - start
         metrics.counter("repro_walk_batches_total").inc()
         metrics.counter("repro_walk_points_total").inc(len(points))
@@ -854,7 +495,6 @@ class WalkEngine:
         self,
         points: Sequence[Point],
         rng: np.random.Generator,
-        postprocess: bool = True,
         trace: bool = True,
     ) -> list[WalkResult]:
         """The level walk: staged or compiled, one semantics, any batch.
@@ -879,14 +519,13 @@ class WalkEngine:
             )
         coords = points_to_array(points)
         if self._kernel_ready(len(points)):
-            return self._walk_kernel(coords, rng, postprocess, trace)
-        return self._walk_staged(coords, rng, postprocess, trace)
+            return self._walk_kernel(coords, rng, trace)
+        return self._walk_staged(coords, rng, trace)
 
     def _walk_staged(
         self,
         coords: np.ndarray,
         rng: np.random.Generator,
-        postprocess: bool,
         trace: bool,
     ) -> list[WalkResult]:
         """The object-world walk: per-node groups, cache, resilience.
@@ -1028,13 +667,12 @@ class WalkEngine:
                 obs.metrics.counter("repro_walk_degraded_walks_total").inc(
                     sum(1 for subs in substitutions if subs)
                 )
-            return self.finalise(results) if postprocess else results
+            return self.finalise(results)
 
     def _walk_kernel(
         self,
         coords: np.ndarray,
         rng: np.random.Generator,
-        postprocess: bool,
         trace: bool,
     ) -> list[WalkResult]:
         """The array-world walk: flat per-level passes, lazy provenance.
@@ -1116,7 +754,7 @@ class WalkEngine:
                 obs.metrics.counter("repro_walk_degraded_walks_total").inc(
                     int(degraded_mask.sum())
                 )
-            return self.finalise(results) if postprocess else results
+            return self.finalise(results)
 
     def _record_level_arrays(self, ld, compiled: CompiledWalk) -> None:
         """Exact per-level metrics from the kernel's arrays.
@@ -1350,8 +988,8 @@ class WalkEngine:
 
     # -- stage: finalise ------------------------------------------------
     def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
-        """Apply the post-processing stage, when one is configured."""
-        post = self._postprocessor
+        """Apply the optimal remap, when one is wired."""
+        post = self.postprocessor
         with self._obs.tracer.span(
             "finalise",
             n=len(results),
@@ -1359,13 +997,7 @@ class WalkEngine:
         ):
             if post is None or not results:
                 return results
-            out = post.finalise(list(results))
-            if len(out) != len(results):
-                raise MechanismError(
-                    f"post-processor {post.name!r} changed the "
-                    f"batch size: {len(results)} walks in, {len(out)} out"
-                )
-            return out
+            return post.finalise(results)
 
 
 #: Builder signature the cache's bulk warm-up expects.

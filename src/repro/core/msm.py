@@ -40,9 +40,7 @@ from repro.privacy.guard import guarded_matrix
 from repro.core.budget.allocation import BudgetPlan, allocate_budget
 from repro.core.cache import CacheEntry, NodeMechanismCache
 from repro.core.engine import (
-    ExecutionPolicy,
     OptimalRemapPostProcessor,
-    PostProcessor,
     StepTrace,
     TelemetrySummary,
     WalkEngine,
@@ -111,17 +109,11 @@ class MultiStepMechanism(Mechanism):
         An externally-owned :class:`NodeMechanismCache` (the fault
         harness uses this to inject cache faults); a fresh one by
         default.
-    executor:
-        The :class:`~repro.core.engine.ExecutionPolicy` scheduling
-        batch walks — :class:`~repro.core.engine.SerialExecution` by
-        default, :class:`~repro.core.engine.ShardedExecution` for
-        multi-core process sharding.
-    postprocessor:
-        An optional :class:`~repro.core.engine.PostProcessor` applied
-        to every walk output (the finalise stage).
     remap:
-        Convenience flag: True wires the optimal Bayesian remap
-        post-processor (ignored when ``postprocessor`` is given).
+        When True, every walk output goes through the optimal Bayesian
+        remap (:class:`~repro.core.engine.OptimalRemapPostProcessor`,
+        the finalise step).  Needs a
+        :class:`~repro.grid.hierarchy.HierarchicalGrid` index.
 
     Use :meth:`build` for the end-to-end constructor that also runs the
     budget allocator.
@@ -141,8 +133,6 @@ class MultiStepMechanism(Mechanism):
         degrade: bool = True,
         guard: bool = True,
         cache: NodeMechanismCache | None = None,
-        executor: ExecutionPolicy | None = None,
-        postprocessor: PostProcessor | None = None,
         remap: bool = False,
         obs: Observability | None = None,
     ):
@@ -170,12 +160,10 @@ class MultiStepMechanism(Mechanism):
             degrade=degrade,
             guard=guard,
             cache=cache,
-            executor=executor,
-            postprocessor=postprocessor,
             obs=obs,
         )
-        if remap and postprocessor is None:
-            self._engine.postprocessor = OptimalRemapPostProcessor(self)
+        if remap:
+            self.enable_remap()
         self.epsilon = sum(budgets)
         self.name = "MSM"
 
@@ -199,8 +187,6 @@ class MultiStepMechanism(Mechanism):
         degrade: bool = True,
         guard: bool = True,
         cache: NodeMechanismCache | None = None,
-        executor: ExecutionPolicy | None = None,
-        postprocessor: PostProcessor | None = None,
         remap: bool = False,
         obs: Observability | None = None,
     ) -> "MultiStepMechanism":
@@ -228,8 +214,6 @@ class MultiStepMechanism(Mechanism):
             degrade=degrade,
             guard=guard,
             cache=cache,
-            executor=executor,
-            postprocessor=postprocessor,
             remap=remap,
             obs=obs,
         )
@@ -248,8 +232,6 @@ class MultiStepMechanism(Mechanism):
         degrade: bool = True,
         guard: bool = True,
         cache: NodeMechanismCache | None = None,
-        executor: ExecutionPolicy | None = None,
-        postprocessor: PostProcessor | None = None,
         remap: bool = False,
         obs: Observability | None = None,
     ) -> "MultiStepMechanism":
@@ -270,8 +252,6 @@ class MultiStepMechanism(Mechanism):
             degrade=degrade,
             guard=guard,
             cache=cache,
-            executor=executor,
-            postprocessor=postprocessor,
             remap=remap,
             obs=obs,
         )
@@ -346,17 +326,8 @@ class MultiStepMechanism(Mechanism):
         return len(self._engine.budgets)
 
     @property
-    def executor(self) -> ExecutionPolicy:
-        """The execution policy scheduling batch walks."""
-        return self._engine.executor
-
-    @executor.setter
-    def executor(self, policy: ExecutionPolicy) -> None:
-        self._engine.executor = policy
-
-    @property
-    def postprocessor(self) -> PostProcessor | None:
-        """The finalise-stage post-processor, when one is configured."""
+    def postprocessor(self) -> OptimalRemapPostProcessor | None:
+        """The optimal remap of the finalise step, when one is wired."""
         return self._engine.postprocessor
 
     def enable_remap(self, dq: Metric | None = None) -> None:
@@ -364,7 +335,9 @@ class MultiStepMechanism(Mechanism):
 
         Works on any MSM over a hierarchical grid, including one
         restored from an offline bundle; the remap table is built
-        lazily on the first sanitisation.
+        lazily on the first sanitisation.  Raises
+        :class:`~repro.exceptions.MechanismError` for any other index,
+        whose walk has no leaf grid to remap over.
         """
         self._engine.postprocessor = OptimalRemapPostProcessor(self, dq=dq)
 
@@ -410,13 +383,8 @@ class MultiStepMechanism(Mechanism):
         grouped by node at each level, the cache is warmed once per
         distinct node (each level LP solved exactly once, through the
         resilient chain), and each group's draws happen in one
-        vectorised CDF inversion.  Under the default
-        :class:`~repro.core.engine.SerialExecution` the whole batch
-        shares one random stream; a
-        :class:`~repro.core.engine.ShardedExecution` partitions the
-        batch across worker processes with independent spawned streams
-        (distribution-identical, not bit-identical — verified
-        statistically in ``tests/test_engine.py``).  Degradation
+        vectorised CDF inversion.  The whole batch walks in-process
+        and shares one random stream.  Degradation
         applies per node: when a node's solve is unrecoverable,
         exactly the points walking through that node carry the
         substituted mechanism in their traces, and only those.

@@ -26,7 +26,7 @@ from repro.geo.point import Point
 from repro.mechanisms.base import Mechanism
 from repro.priors.base import GridPrior
 from repro.privacy.composition import BudgetAccountant, budget_slack
-from repro.core.engine import ExecutionPolicy, PostProcessor, WalkResult
+from repro.core.engine import WalkResult
 from repro.core.msm import MultiStepMechanism
 from repro.core.resilience import DegradationReport, ResilienceConfig, ResilientSolver
 from repro.obs import NOOP, Observability
@@ -71,14 +71,10 @@ class SanitizationSession:
         Same-cell probability target for the budget allocator.
     dq:
         Utility metric the per-step mechanisms optimise.
-    executor:
-        Execution policy for batch reports (serial by default; pass a
-        :class:`~repro.core.engine.ShardedExecution` to spread large
-        :meth:`report_batch` workloads across worker processes).
-    postprocessor / remap:
-        Optional finalise stage for every report; ``remap=True`` wires
-        the optimal Bayesian remap (a deterministic output-only
-        transformation, so the accountant's arithmetic is unchanged).
+    remap:
+        When True, every report goes through the optimal Bayesian remap
+        (a deterministic output-only transformation, so the accountant's
+        arithmetic is unchanged).
     metrics:
         When True, the session builds a live
         :class:`~repro.obs.Observability` handle (metrics registry +
@@ -118,8 +114,6 @@ class SanitizationSession:
         solver: ResilientSolver | None = None,
         degrade: bool = True,
         guard: bool = True,
-        executor: ExecutionPolicy | None = None,
-        postprocessor: PostProcessor | None = None,
         remap: bool = False,
         metrics: bool = False,
         mechanism: Mechanism | None = None,
@@ -166,8 +160,7 @@ class SanitizationSession:
             self._mechanism = MultiStepMechanism.build(
                 per_report_epsilon, granularity, prior, rho=rho, dq=dq,
                 backend=backend, resilience=resilience, solver=solver,
-                degrade=degrade, guard=guard, executor=executor,
-                postprocessor=postprocessor, remap=remap, obs=self._obs,
+                degrade=degrade, guard=guard, remap=remap, obs=self._obs,
             )
         self._history: list[SessionReport] = []
         self._degradations: list[DegradationReport] = []

@@ -29,9 +29,10 @@ Enabling
     session = SanitizationSession(..., metrics=True)   # or via the CLI:
     # repro sanitize ... --metrics out.prom --trace-out spans.jsonl
 
-Sharded execution gives each worker process a fresh registry and merges
-the per-shard snapshots back into the parent registry — the same
-snapshot/merge pattern it uses for per-shard mechanism caches.
+The serving pool gives each worker process its own registry and merges
+the per-worker snapshots into the parent registry
+(:meth:`~repro.serve.pool.ServingPool.collect_metrics`), so pool-wide
+totals do not depend on the order workers report in.
 """
 
 from __future__ import annotations

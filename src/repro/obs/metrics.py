@@ -14,17 +14,18 @@ Two properties carry the whole design:
   the same workload produces the same snapshot structure every run and
   golden-file tests stay byte-stable.
 
-* **Mergeable snapshots.**  Sharded execution gives every worker
-  process its own registry and merges the per-shard snapshots back into
-  the parent — exactly like it merges per-shard caches.  For that to be
-  sound, :meth:`MetricsSnapshot.merge` must be associative and
-  commutative: counters and histogram buckets add, gauges take the
-  maximum (the only order-free combination for level-style values).
-  Both laws are pinned down in ``tests/test_obs.py``.
+* **Mergeable snapshots.**  The serving pool gives every worker
+  process its own registry and merges the per-worker snapshots into the
+  frontend's (:meth:`~repro.serve.pool.ServingPool.collect_metrics`).
+  For that to be sound, :meth:`MetricsSnapshot.merge` must be
+  associative and commutative: counters and histogram buckets add,
+  gauges take the maximum (the only order-free combination for
+  level-style values).  Both laws are pinned down in
+  ``tests/test_obs.py``.
 
-The registry is plain-Python and picklable (it rides inside the engine
-to worker processes) and is *not* thread-safe — the engine is
-single-threaded per process, and shards never share a registry.
+The registry is plain-Python and picklable (snapshots cross the pool's
+pipes) and is *not* thread-safe — the engine is single-threaded per
+process, and workers never share a registry.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ LATENCY_EDGES: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
 )
 
-#: Default size bucket upper bounds (batch sizes, shard sizes).
+#: Default size bucket upper bounds (batch sizes).
 SIZE_EDGES: tuple[float, ...] = (
     1.0, 8.0, 64.0, 512.0, 4096.0, 32768.0, 262144.0,
 )
@@ -153,7 +154,8 @@ class MetricsSnapshot:
     All three tuples are sorted by ``(name, labels)``, so two snapshots
     of identical registry states compare equal and export to identical
     text.  Merging is pure (returns a new snapshot), associative and
-    commutative — the algebra sharded execution relies on.
+    commutative — the algebra the serving pool's per-worker merges
+    rely on.
     """
 
     counters: tuple[MetricValue, ...] = ()
@@ -201,7 +203,7 @@ class MetricsSnapshot:
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Combine two snapshots: counters and histogram buckets add,
         gauges take the maximum.  Associative and commutative, so any
-        merge order over any shard partition yields the same snapshot."""
+        merge order over any worker partition yields the same snapshot."""
         counters: dict[tuple[str, Labels], float] = {
             (m.name, m.labels): m.value for m in self.counters
         }
@@ -374,7 +376,7 @@ class MetricsRegistry:
         )
 
     def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a snapshot (e.g. a worker shard's) into this registry.
+        """Fold a snapshot (e.g. a pool worker's) into this registry.
 
         Same semantics as :meth:`MetricsSnapshot.merge`: counters and
         histogram buckets add, gauges take the maximum.
@@ -392,7 +394,7 @@ class MetricsRegistry:
             hist.count += h.count
 
     def clear(self) -> None:
-        """Drop every metric (fresh registries for worker shards)."""
+        """Drop every metric."""
         self._metrics.clear()
 
     def __len__(self) -> int:

@@ -37,8 +37,7 @@ Statistics obey a merge algebra: per-shard :class:`ServerStats` and
 per-worker metrics snapshots fold associatively and commutatively
 (:meth:`ServerStats.merge`,
 :meth:`~repro.obs.metrics.MetricsSnapshot.merge`), so pool-wide totals
-are order-independent — the same contract as
-:class:`~repro.core.engine.ShardedExecution`'s shard merges.
+do not depend on the order the workers report in.
 
 Privacy: batching and sharding only *schedule* independent
 Algorithm-1 walks; each worker draws from its own

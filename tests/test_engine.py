@@ -1,19 +1,16 @@
 """Tests for the unified walk engine (`repro.core.engine`).
 
-Covers the refactor's load-bearing claims: the scalar path is a batch
+Covers the engine's load-bearing claims: the scalar path is a batch
 of one (byte-identical results under a shared seed), every stage works
-in isolation, the sharded executor is distribution-equivalent to serial
-execution and merges caches/provenance correctly, and the optimal-remap
-post-processor transforms outputs without ever touching the guarantee
-(the guarded step matrices are unchanged and the prior-expected loss
-never goes up).
+in isolation, and the optimal remap transforms outputs without ever
+touching the guarantee (the guarded step matrices are unchanged and the
+prior-expected loss never goes up).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro.exceptions import MechanismError
 from repro.geo.bbox import BoundingBox
@@ -25,15 +22,8 @@ from repro.grid.regular import RegularGrid
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import NodeMechanismCache
-from repro.core.engine import (
-    OptimalRemapPostProcessor,
-    PostProcessor,
-    SerialExecution,
-    ShardedExecution,
-    WalkEngine,
-)
+from repro.core.engine import OptimalRemapPostProcessor, WalkEngine
 from repro.core.msm import MultiStepMechanism
-from repro.core.resilience import ResilientSolver
 
 
 @pytest.fixture(scope="module")
@@ -156,138 +146,13 @@ class TestStages:
         with pytest.raises(MechanismError, match="no children"):
             engine.run([Point(5.0, 5.0)], rng)
 
-    def test_worker_copy_is_serial_and_shares_state(self, engine):
-        engine.executor = ShardedExecution()
-        engine.postprocessor = _IdentityPost()
-        worker = engine.worker_copy()
-        assert isinstance(worker.executor, SerialExecution)
-        assert worker.postprocessor is None
-        assert worker.cache is engine.cache
-        assert worker.solver is engine.solver
-
-    def test_lp_seconds_accounting_merges(self, engine):
-        before = engine.lp_seconds
-        engine.add_lp_seconds(1.25)
-        assert engine.lp_seconds == pytest.approx(before + 1.25)
-
-
-class _IdentityPost(PostProcessor):
-    name = "identity"
-
-    def finalise(self, results):
-        return list(results)
-
-
-class _DroppingPost(PostProcessor):
-    name = "dropper"
-
-    def finalise(self, results):
-        return list(results)[:-1]
-
-
-class TestFinaliseStage:
-    def test_batch_size_change_is_rejected(self, square20, uniform9, rng):
-        engine = WalkEngine(
-            HierarchicalGrid(square20, 3, 1), (0.5,), uniform9,
-            postprocessor=_DroppingPost(),
-        )
-        with pytest.raises(MechanismError, match="changed the batch size"):
-            engine.run(uniform_points(4, seed=1), rng)
-
-    def test_identity_post_preserves_results(self, square20, uniform9):
-        plain = WalkEngine(HierarchicalGrid(square20, 3, 1), (0.5,), uniform9)
-        posted = WalkEngine(
-            HierarchicalGrid(square20, 3, 1), (0.5,), uniform9,
-            postprocessor=_IdentityPost(),
-        )
-        xs = uniform_points(10, seed=2)
-        a = plain.run(xs, np.random.default_rng(4))
-        b = posted.run(xs, np.random.default_rng(4))
-        assert a == b
-
 
 # ----------------------------------------------------------------------
-# execution policies
+# adopting another cache's entries
 # ----------------------------------------------------------------------
-class TestShardedExecution:
-    def test_max_workers_validation(self):
-        with pytest.raises(MechanismError, match="max_workers"):
-            ShardedExecution(max_workers=0)
-
-    def test_partition_groups_by_top_level_node(self, msm2):
-        policy = ShardedExecution()
-        points = [
-            Point(1.0, 1.0),    # child 0
-            Point(19.0, 1.0),   # child 2
-            Point(1.5, 1.5),    # child 0 again
-            Point(-9.0, 0.0),   # out of domain -> its own shard
-        ]
-        shards = policy.partition(msm2.engine, points)
-        assert sorted(map(sorted, shards)) == [[0, 2], [1], [3]]
-
-    def test_small_batch_falls_back_to_serial_byte_identical(self, msm2):
-        xs = uniform_points(32, seed=3)
-        serial = msm2.sanitize_batch(xs, np.random.default_rng(9))
-        msm2.executor = ShardedExecution()  # min_batch_size default 2048
-        try:
-            sharded = msm2.sanitize_batch(xs, np.random.default_rng(9))
-        finally:
-            msm2.executor = SerialExecution()
-        assert serial == sharded
-
-    def test_single_shard_falls_back_to_serial(self, msm2):
-        xs = [Point(1.0, 1.0)] * 8  # all in top-level child 0
-        serial = msm2.sanitize_batch(xs, np.random.default_rng(21))
-        msm2.executor = ShardedExecution(max_workers=2, min_batch_size=0)
-        try:
-            sharded = msm2.sanitize_batch(xs, np.random.default_rng(21))
-        finally:
-            msm2.executor = SerialExecution()
-        assert serial == sharded
-
-    def test_unpicklable_engine_degrades_to_serial(self, square20, uniform9):
-        solver = ResilientSolver()
-        solver.unpicklable_marker = lambda: None  # lambdas don't pickle
-        msm = MultiStepMechanism(
-            HierarchicalGrid(square20, 3, 1), (0.5,), uniform9,
-            solver=solver,
-            executor=ShardedExecution(max_workers=2, min_batch_size=0),
-        )
-        xs = uniform_points(24, seed=6)
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            walks = msm.sanitize_batch(xs, np.random.default_rng(2))
-        assert len(walks) == len(xs)
-
-    def test_sharded_run_merges_results_and_cache(self, square20, uniform9):
-        msm = MultiStepMechanism(
-            HierarchicalGrid(square20, 3, 2), (0.5, 0.7), uniform9,
-            executor=ShardedExecution(max_workers=2, min_batch_size=0),
-        )
-        xs = uniform_points(60, seed=8)
-        walks = msm.sanitize_batch(xs, np.random.default_rng(14))
-        assert len(walks) == len(xs)
-        # Results come back in input order with full per-point provenance,
-        # and each trace is self-consistent across levels.
-        for walk in walks:
-            assert len(walk.trace) == 2
-            assert walk.trace[0].node_path == ()
-            assert walk.trace[1].node_path == (
-                walk.trace[0].reported_index,
-            )
-            assert walk.degradation.clean
-        # The parent adopted the workers' solved nodes: a follow-up
-        # serial walk finds a warm cache (no new solves needed for the
-        # nodes the shards visited).
-        assert () in msm.cache
-        assert len(msm.cache) >= 2
-        builds_before = msm.cache.builds
-        msm.executor = SerialExecution()
-        msm.sanitize_batch(xs, np.random.default_rng(15))
-        assert msm.cache.builds == builds_before
-
+class TestCacheMerge:
     def test_cache_merge_keeps_existing_entries(self):
         a, b = NodeMechanismCache(), NodeMechanismCache()
-        msm_matrix = None  # filled below from a tiny solve-free matrix
         from repro.mechanisms.exponential import (
             exponential_matrix_from_locations,
         )
@@ -303,51 +168,8 @@ class TestShardedExecution:
         assert a.get((1,)) is m2
 
 
-@pytest.mark.statistical
-class TestShardedDistributionEquivalence:
-    N = 6000
-    ALPHA = 0.01
-    MIN_POOLED = 10
-
-    def leaf_counts(self, msm, points):
-        grid = msm.index.level_grid(min(msm.height, msm.index.height))
-        counts = np.zeros(grid.n_cells, dtype=float)
-        for p in points:
-            counts[grid.locate(p).index] += 1
-        return counts
-
-    def test_chi_square_serial_vs_sharded(self, msm2):
-        """Sharded execution is distribution-identical to serial.
-
-        Same input workload, independent seeds; the two leaf histograms
-        must be indistinguishable at alpha = 0.01 (fixed seeds, verified
-        deterministic outcome).
-        """
-        xs = uniform_points(self.N, seed=20190326)
-        serial = msm2.sanitize_batch(xs, np.random.default_rng(31))
-        msm2.executor = ShardedExecution(max_workers=2, min_batch_size=0)
-        try:
-            sharded = msm2.sanitize_batch(xs, np.random.default_rng(32))
-        finally:
-            msm2.executor = SerialExecution()
-        a = self.leaf_counts(msm2, [w.point for w in serial])
-        b = self.leaf_counts(msm2, [w.point for w in sharded])
-        pooled = a + b
-        keep = pooled >= self.MIN_POOLED
-        table = np.vstack([
-            np.append(a[keep], a[~keep].sum()),
-            np.append(b[keep], b[~keep].sum()),
-        ])
-        table = table[:, table.sum(axis=0) > 0]
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value >= self.ALPHA, (
-            f"serial and sharded leaf distributions diverge "
-            f"(p={p_value:.4g})"
-        )
-
-
 # ----------------------------------------------------------------------
-# the optimal-remap post-processing stage
+# the optimal-remap finalise step
 # ----------------------------------------------------------------------
 class TestOptimalRemap:
     @pytest.fixture(scope="class")
@@ -361,6 +183,23 @@ class TestOptimalRemap:
 
     def test_remap_flag_wires_the_postprocessor(self, msm_remap):
         assert isinstance(msm_remap.postprocessor, OptimalRemapPostProcessor)
+
+    @pytest.mark.parametrize("kind", ["quadtree", "kdtree"])
+    def test_remap_refuses_non_grid_index(self, kind, square20, uniform9):
+        """The remap reads the leaf grid of a HierarchicalGrid; any
+        other index is refused when the remap is wired, not at the
+        first sanitisation."""
+        points = uniform_points(200, seed=12)
+        if kind == "quadtree":
+            index = QuadtreeIndex(square20, points, capacity=40, max_depth=3)
+        else:
+            index = KDTreeIndex(square20, points, max_depth=2)
+        with pytest.raises(MechanismError, match="HierarchicalGrid"):
+            MultiStepMechanism(index, (0.5, 0.7), uniform9, remap=True)
+        msm = MultiStepMechanism(index, (0.5, 0.7), uniform9)
+        with pytest.raises(MechanismError, match="HierarchicalGrid"):
+            msm.enable_remap()
+        assert msm.postprocessor is None
 
     def test_outputs_are_remapped_with_provenance(self, msm_remap, rng):
         walks = msm_remap.sanitize_batch(uniform_points(50, seed=4), rng)

@@ -4,15 +4,14 @@ Locks in the contracts the instrumentation relies on:
 
 * registry semantics — counter monotonicity, deterministic histogram
   buckets, and the snapshot algebra (associative + commutative merge)
-  sharded execution depends on;
+  the serving pool's per-worker merges depend on;
 * span-tree shape — the exact stage nesting of a known g=2/h=2 walk;
 * the no-overhead contract — enabling observability must not perturb
   the walk's outputs (byte-identity under a shared seed);
 * exporter golden files — both text formats round-trip exactly;
 * telemetry vs truth — the metrics the layer emits must equal the
-  engine's own accounting (cache builds, degraded steps, LP seconds);
-* sharded attribution — per-level LP metrics carry the same label sets
-  whether a batch ran serially, sharded, or through a serial fallback.
+  engine's own accounting (cache builds and merges, degraded steps, LP
+  seconds).
 
 The achieved-Pr[x|x] check over >= 20k samples lives at the bottom under
 the ``statistical`` marker.
@@ -27,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.core.cache import NodeMechanismCache
-from repro.core.engine import SerialExecution, ShardedExecution
 from repro.core.msm import MultiStepMechanism
 from repro.core.resilience import ResilienceConfig, ResilientSolver
 from repro.exceptions import DegradedModeWarning, ObservabilityError
@@ -509,6 +507,22 @@ class TestTelemetryVersusTruth:
             msm.cache.builds
         )
 
+    def test_cache_merge_metric_equals_cache_merges(self, square20):
+        obs = Observability.collecting()
+        msm = small_msm(square20, g=3, h=2, obs=obs)
+        donor = small_msm(square20, g=3, h=2)
+        donor.precompute()
+        msm.cache.merge(donor.cache.snapshot())
+        msm.cache.merge(donor.cache.snapshot())
+        snap = obs.snapshot()
+        assert msm.cache.merges == 2
+        assert snap.counter_value("repro_cache_merges_total") == (
+            msm.cache.merges
+        )
+        assert snap.counter_value("repro_cache_adopted_total") == len(
+            donor.cache
+        )
+
     def test_degraded_step_metric_equals_trace_truth(self, square20):
         """Under injected faults, the degradation counters must equal a
         recount of the per-point :class:`StepTrace` provenance."""
@@ -591,112 +605,6 @@ class TestTelemetryVersusTruth:
             assert snap.counter_value(
                 "repro_walk_drifted_total", level=level
             ) == drift_truth
-
-
-# ----------------------------------------------------------------------
-# sharded execution: merge + attribution parity with serial runs
-# ----------------------------------------------------------------------
-class TestShardedAttribution:
-    def _run(self, square20, executor, n=300):
-        obs = Observability.collecting()
-        msm = small_msm(square20, g=3, h=2, obs=obs)
-        msm.executor = executor
-        walks = msm.sanitize_batch(batch(n), np.random.default_rng(SEED))
-        assert len(walks) == n
-        return obs.snapshot(), msm
-
-    def test_sharded_and_serial_attribution_agree(self, square20):
-        serial_snap, _ = self._run(square20, SerialExecution())
-        sharded_snap, msm = self._run(
-            square20,
-            ShardedExecution(max_workers=2, min_batch_size=0),
-        )
-        # the real sharded path ran — no fallback reason was recorded
-        assert sharded_snap.counter_total(
-            "repro_exec_serial_fallback_total"
-        ) == 0
-        assert sharded_snap.counter_value("repro_shards_total") > 0
-        # identical per-level label sets: a sharded run attributes LP
-        # time to the same levels a serial run does
-        for name in (
-            "repro_lp_solve_seconds_total",
-            "repro_lp_solves_total",
-            "repro_walk_steps_total",
-        ):
-            assert sharded_snap.label_values(name, "level") == (
-                serial_snap.label_values(name, "level")
-            )
-        # merged worker registries reproduce the engine's own account
-        assert sharded_snap.counter_total(
-            "repro_lp_solve_seconds_total"
-        ) == pytest.approx(msm.lp_seconds, abs=1e-9)
-        # per-shard attribution sums to the same total
-        shard_total = sum(
-            sharded_snap.counter_value(
-                "repro_shard_lp_seconds_total", shard=s
-            )
-            for s in sharded_snap.label_values(
-                "repro_shard_lp_seconds_total", "shard"
-            )
-        )
-        assert shard_total == pytest.approx(msm.lp_seconds, abs=1e-9)
-
-    def test_cache_merge_metric_equals_cache_merges(self, square20):
-        snap, msm = self._run(
-            square20, ShardedExecution(max_workers=2, min_batch_size=0)
-        )
-        assert msm.cache.merges > 0
-        assert snap.counter_value("repro_cache_merges_total") == (
-            msm.cache.merges
-        )
-        hist = snap.histogram_value("repro_shard_points")
-        assert hist is not None
-        assert hist.count == snap.counter_value("repro_shards_total")
-
-    def test_point_counts_identical_across_policies(self, square20):
-        serial_snap, _ = self._run(square20, SerialExecution())
-        sharded_snap, _ = self._run(
-            square20, ShardedExecution(max_workers=2, min_batch_size=0)
-        )
-        for level in ("1", "2"):
-            assert sharded_snap.counter_value(
-                "repro_walk_steps_total", level=level
-            ) == serial_snap.counter_value(
-                "repro_walk_steps_total", level=level
-            )
-
-    @pytest.mark.parametrize(
-        "executor_kwargs, points, reason",
-        [
-            (dict(max_workers=2, min_batch_size=2048), None, "small_batch"),
-            (dict(max_workers=1, min_batch_size=0), None, "few_workers"),
-            (dict(max_workers=2, min_batch_size=0), "clustered",
-             "single_shard"),
-        ],
-    )
-    def test_serial_fallback_reasons(
-        self, square20, executor_kwargs, points, reason
-    ):
-        obs = Observability.collecting()
-        msm = small_msm(square20, g=3, h=2, obs=obs)
-        msm.executor = ShardedExecution(**executor_kwargs)
-        if points == "clustered":  # all in one top-level child
-            pts = [Point(1.0 + 0.01 * i, 1.0) for i in range(40)]
-        else:
-            pts = batch(40)
-        walks = msm.sanitize_batch(pts, np.random.default_rng(SEED))
-        assert len(walks) == len(pts)
-        snap = obs.snapshot()
-        assert snap.counter_value(
-            "repro_exec_serial_fallback_total", reason=reason
-        ) == 1
-        # attribution parity: the fallback still labels LP time by level
-        assert snap.label_values(
-            "repro_lp_solve_seconds_total", "level"
-        ) == ("1", "2")
-        assert snap.counter_total(
-            "repro_lp_solve_seconds_total"
-        ) == pytest.approx(msm.lp_seconds, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
