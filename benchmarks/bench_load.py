@@ -10,10 +10,7 @@ envelope):
   zero-copy mechanism arena;
 * **open-loop tail latency** — p50/p95/p99 measured from *scheduled*
   arrival times (coordinated-omission corrected) at half the measured
-  saturation rate;
-* **in-run baseline** — the single-process dispatcher server on the
-  identical workload, so the speedup column never depends on a stale
-  committed number.
+  saturation rate.
 
 The ≥10× gate (vs the committed 287 req/s single-core serving
 baseline) is only armed on a multi-core host — ``expected_gate`` in

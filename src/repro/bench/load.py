@@ -1,9 +1,9 @@
 """Open-loop load benchmark for the multi-worker serving pool.
 
-Measures what the pool tentpole claims: saturation throughput across
-worker processes and tail latency under paced open-loop load, against
-the single-process :class:`~repro.serve.server.SanitizationServer`
-baseline committed in ``BENCH_serve.json``.
+Measures the serving pool's saturation throughput across worker
+processes and its tail latency under paced open-loop load, against a
+committed single-core serving throughput
+(:data:`COMMITTED_SINGLE_CORE_REQ_S`).
 
 Two phases, both over the same Zipf-skewed synthetic traffic (user
 arrivals drawn from a discrete Zipf over ``n_users`` ranks — a few hot
@@ -44,7 +44,7 @@ from repro.geo.point import Point
 from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.regular import RegularGrid
 from repro.priors.base import GridPrior
-from repro.serve.server import SanitizationServer, ServerConfig
+from repro.serve.server import ServerConfig
 
 __all__ = [
     "COMMITTED_SINGLE_CORE_REQ_S",
@@ -53,15 +53,15 @@ __all__ = [
     "zipf_workload",
 ]
 
-#: The committed single-core serving throughput this benchmark gates
-#: against (``BENCH_serve.json``, dispatcher-thread server, ROADMAP
-#: item 2's "287 req/s" figure).
+#: The single-core serving throughput this benchmark gates against:
+#: the 287 req/s the retired single-process dispatcher-thread server
+#: recorded (its benchmark script and artifact remain in git history).
 COMMITTED_SINGLE_CORE_REQ_S = 287.0
 
 #: The benchmark domain (same 20 km square as the rest of the suite).
 DOMAIN_SIDE_KM = 20.0
 
-#: GIHI geometry shared with ``BENCH_serve`` (g=3, h=3: 91 nodes).
+#: GIHI geometry (g=3, h=3: 91 nodes).
 GRANULARITY = 3
 HEIGHT = 3
 BUDGETS = (0.4, 0.5, 0.6)
@@ -80,7 +80,6 @@ class LoadSpec:
         coalesce_window: float = 0.002,
         max_batch: int = 512,
         ledger: bool = False,
-        baseline_requests: int | None = None,
         seed: int = ROOT_SEED,
     ):
         if workers < 1:
@@ -99,11 +98,6 @@ class LoadSpec:
         self.coalesce_window = float(coalesce_window)
         self.max_batch = int(max_batch)
         self.ledger = bool(ledger)
-        self.baseline_requests = (
-            min(2_000, total_requests)
-            if baseline_requests is None
-            else int(baseline_requests)
-        )
         self.seed = int(seed)
 
 
@@ -147,23 +141,24 @@ def _build_msm(obs=None):
     return msm
 
 
-def _submit_all(submit: Callable, arrivals, result_of: Callable) -> tuple:
+def _submit_all(pool, arrivals) -> float:
     """Saturation phase: push every arrival as fast as admission
-    allows (brief backoff on overload), then drain completions."""
+    allows (brief backoff on overload), drain completions, and return
+    the elapsed seconds."""
     handles = []
     start = time.perf_counter()
     for user_id, x in arrivals:
         while True:
             try:
-                handles.append(submit(user_id, x))
+                handles.append(pool.submit(user_id, x))
                 break
             except ServeError as exc:
                 if exc.reason != "overload":
                     raise
                 time.sleep(0.0005)
-    reports = [result_of(handle) for handle in handles]
-    elapsed = time.perf_counter() - start
-    return reports, elapsed
+    for handle in handles:
+        handle.future.result(timeout=120.0)
+    return time.perf_counter() - start
 
 
 def _percentiles_ms(latencies: np.ndarray) -> dict[str, float]:
@@ -243,11 +238,7 @@ def run_load_benchmark(
                 f"saturation: {spec.total_requests} requests across "
                 f"{spec.workers} workers..."
             )
-            _, elapsed = _submit_all(
-                pool.submit,
-                arrivals,
-                lambda handle: handle.future.result(timeout=120.0),
-            )
+            elapsed = _submit_all(pool, arrivals)
             saturation_req_s = spec.total_requests / elapsed
             results["saturation"] = {
                 "requests": spec.total_requests,
@@ -308,40 +299,6 @@ def run_load_benchmark(
                     reason="bench",
                 )
 
-    # ---- phase 3: in-run single-process baseline --------------------
-    n_base = spec.baseline_requests
-    say(f"single-process baseline: {n_base} requests...")
-    baseline_server = SanitizationServer.build(
-        _build_prior(),
-        ServerConfig(
-            lifetime_epsilon=config.lifetime_epsilon,
-            per_report_epsilon=per_report,
-            coalesce_window=spec.coalesce_window,
-            max_batch=spec.max_batch,
-        ),
-        granularity=GRANULARITY,
-        seed=spec.seed,
-    )
-
-    def _await_pending(handle):
-        handle.done.wait(120.0)
-        if handle.error is not None:
-            raise handle.error
-        return handle.report
-
-    with baseline_server:
-        _, base_elapsed = _submit_all(
-            baseline_server.submit, arrivals[:n_base], _await_pending
-        )
-    baseline_req_s = n_base / base_elapsed
-    results["baseline_single_process"] = {
-        "requests": n_base,
-        "elapsed_seconds": round(base_elapsed, 4),
-        "req_per_s": round(baseline_req_s, 1),
-    }
-    results["speedup_vs_inrun_baseline"] = round(
-        saturation_req_s / baseline_req_s, 2
-    )
     results["speedup_vs_committed"] = round(
         saturation_req_s / COMMITTED_SINGLE_CORE_REQ_S, 2
     )
@@ -350,7 +307,7 @@ def run_load_benchmark(
             "single-core host: the pool's workers time-slice one core, "
             "so the multi-core >=10x gate is not armed "
             "(expected_gate='none'); throughput gains here come from "
-            "micro-batch amortisation alone and the speedup columns "
-            "are reported for transparency, not as the gate."
+            "micro-batch amortisation alone and the speedup column "
+            "is reported for transparency, not as the gate."
         )
     return results

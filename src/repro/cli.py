@@ -10,7 +10,7 @@ Subcommands::
     repro sanitize    ... --trace-out PATH         + span/metric JSON lines
     repro bundle      --epsilon 0.5 --g 4 --out p  write an offline bundle
     repro serve       --epsilon 0.5 --requests 200 drive the serving
-                      front-end with concurrent synthetic clients
+                      pool with concurrent synthetic clients
     repro experiment  fig3|fig5|table2|fig6|fig8|fig10|latency|
                       ablation-budget|ablation-spanner|ablation-index|
                       ablation-prior
@@ -22,10 +22,11 @@ Subcommands::
     repro bench report   [--run PATH | --matrix NAME]  paper-style tables
 
 The serve subcommand is self-driving: it starts a
-:class:`~repro.serve.SanitizationServer`, spawns client threads that
-submit sanitisation requests concurrently, then prints the server's
-coalescing/admission statistics (and, with ``--metrics``, the full
-Prometheus dump — the CI smoke step scrapes exactly that).
+:class:`~repro.serve.ServingPool` of ``--workers`` processes, spawns
+client threads that submit sanitisation requests concurrently, then
+prints the pool's coalescing/admission statistics (and, with
+``--metrics``, the full Prometheus dump — the CI smoke step scrapes
+exactly that).
 
 The experiment subcommand prints the same tables the benchmark suite
 produces, so paper figures can be regenerated without pytest.
@@ -217,10 +218,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """Freeze the warmed mechanism into an arena, shard users across
+    ``--workers`` processes, and drive synthetic concurrent clients."""
     import threading
 
     from repro.exceptions import BudgetError, ServeError
-    from repro.serve import SanitizationServer, ServerConfig
+    from repro.serve import ServerConfig, ServingPool
 
     obs = _make_observability(args)
     if obs is None:
@@ -241,81 +244,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         coalesce_window=args.coalesce_window,
         max_batch=args.max_batch,
     )
-    if args.workers > 1:
-        return _serve_pool(args, config, prior, dataset, obs)
-    server = SanitizationServer.build(
-        prior,
-        config,
-        granularity=args.g,
-        rho=args.rho,
-        cache_max_bytes=args.cache_max_bytes,
-        store=args.store,
-        ledger=args.ledger,
-        obs=obs,
-        seed=args.seed,
-        spanner_dilation=args.dilation,
-    )
-    if args.ledger is not None:
-        replay = server.ledger.replay
-        print(f"ledger     : {args.ledger} "
-              f"({len(replay.spent)} users, "
-              f"{sum(replay.spent.values()):.4f} eps replayed, "
-              f"{replay.corrupt_lines} corrupt lines skipped)")
-    points = dataset.points()
-    refused = {"budget": 0, "serve": 0}
-    refusal_lock = threading.Lock()
-
-    def client(client_id: int) -> None:
-        rng = np.random.default_rng(args.seed + client_id)
-        user = f"user-{client_id}"
-        for _ in range(args.requests // args.clients):
-            x = points[int(rng.integers(len(points)))]
-            try:
-                server.report(user, x)
-            except BudgetError:
-                with refusal_lock:
-                    refused["budget"] += 1
-            except ServeError:
-                with refusal_lock:
-                    refused["serve"] += 1
-
-    with server:
-        threads = [
-            threading.Thread(target=client, args=(i,))
-            for i in range(args.clients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    stats = server.stats
-    print(f"clients    : {args.clients}")
-    print(f"requests   : {stats.requests} admitted, "
-          f"{stats.completed} completed")
-    print(f"refused    : {refused['budget']} budget, "
-          f"{refused['serve']} serve")
-    print(f"batches    : {stats.batches} "
-          f"({stats.coalesced} requests coalesced, "
-          f"largest {stats.max_batch_points})")
-    print(f"sessions   : {stats.sessions}")
-    cache = server.mechanism.cache
-    print(f"cache      : {len(cache)} entries, "
-          f"{cache.resident_bytes} bytes resident, "
-          f"{cache.evictions} evictions")
-    _write_observability(obs, args)
-    return 0
-
-
-def _serve_pool(args, config, prior, dataset, obs) -> int:
-    """The multi-worker branch of ``repro serve`` (--workers > 1):
-    freeze the warmed mechanism into an arena, shard users across
-    worker processes, and drive the same synthetic client load."""
-    import threading
-
-    from repro.exceptions import BudgetError, ServeError
-    from repro.serve import ServingPool
-
     pool = ServingPool.build(
         prior,
         config,
@@ -352,7 +280,7 @@ def _serve_pool(args, config, prior, dataset, obs) -> int:
               f"arena {pool.arena.nbytes} bytes (zero-copy mmap)")
         if args.ledger_dir is not None:
             replay = pool.ledger_replay()
-            print(f"ledgers    : {args.ledger_dir} "
+            print(f"ledger     : {args.ledger_dir} "
                   f"({len(replay.spent)} users, "
                   f"{sum(replay.spent.values()):.4f} eps replayed, "
                   f"{replay.corrupt_lines} corrupt lines skipped)")
@@ -460,11 +388,6 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
           f"p95 {open_loop['p95_ms']:.2f} ms, "
           f"p99 {open_loop['p99_ms']:.2f} ms "
           f"at {open_loop['target_req_per_s']:.0f} req/s")
-    print(f"baseline   : "
-          f"{results['baseline_single_process']['req_per_s']:.0f} req/s "
-          f"single-process -> speedup "
-          f"{results['speedup_vs_inrun_baseline']:.2f}x in-run, "
-          f"{results['speedup_vs_committed']:.2f}x vs committed")
     print(f"artifact   : {path}")
     return 0
 
@@ -546,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="drive the concurrent serving front-end with synthetic clients",
+        help="drive the serving pool with synthetic concurrent clients",
     )
     _add_dataset_args(p_serve)
     p_serve.add_argument("--epsilon", type=float, required=True,
@@ -564,27 +487,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--coalesce-window", type=float, default=0.002,
                          help="micro-batch gathering window in seconds")
     p_serve.add_argument("--max-batch", type=int, default=512)
-    p_serve.add_argument("--cache-max-bytes", type=int, default=None,
-                         help="node-cache byte budget (LRU eviction)")
     p_serve.add_argument("--store", default=None, metavar="DIR",
                          help="persistent mechanism store directory "
                               "(warm-start across runs)")
-    p_serve.add_argument("--ledger", default=None, metavar="PATH",
-                         help="durable budget journal; replayed on start so "
-                              "spent budgets survive crashes and restarts")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--workers", type=int, default=1,
-                         help="worker processes; >1 serves through the "
-                              "zero-copy arena pool with users sharded "
-                              "by stable hash (default 1: in-process "
-                              "dispatcher)")
+                         help="worker processes mapping one zero-copy "
+                              "arena, users sharded by stable hash "
+                              "(default 1)")
     p_serve.add_argument("--arena", default=None, metavar="DIR",
                          help="freeze the compiled mechanism arena here "
                               "(default: a run-scoped temp directory)")
     p_serve.add_argument("--ledger-dir", default=None, metavar="DIR",
-                         help="per-shard durable budget journals for the "
-                              "worker pool (crash-safe spend, replayed "
-                              "on worker respawn)")
+                         help="per-shard durable budget journals, replayed "
+                              "on start and on worker respawn so spent "
+                              "budgets survive crashes and restarts")
     p_serve.add_argument("--metrics", nargs="?", const="-", default=None,
                          metavar="PATH",
                          help="write the full Prometheus metrics dump to "

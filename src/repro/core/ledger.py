@@ -1,10 +1,10 @@
 """Durable budget ledger: a crash-safe write-ahead journal of spend.
 
 The privacy guarantee of the serving tier is exactly as strong as its
-budget accounting.  :class:`~repro.serve.SanitizationServer` keeps each
-user's remaining lifetime epsilon in process memory; without a durable
-record a crash or restart silently *resets* every ledger to zero and
-lets users overdraw — the one failure mode the fail-closed design must
+budget accounting.  Each :class:`~repro.serve.ServingPool` worker keeps
+its users' remaining lifetime epsilon in process memory; without a
+durable record a crash or restart silently *resets* every account to
+zero and lets users overdraw — the one failure mode the fail-closed design must
 never allow ("failures cost utility, never privacy").
 
 :class:`BudgetLedger` closes that hole with a classic write-ahead
@@ -238,6 +238,15 @@ def replay_journal(path: str | Path) -> LedgerReplay:
     return replay
 
 
+def _ends_mid_line(path: Path) -> bool:
+    """Whether ``path`` is non-empty and its last byte is not a newline."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return False
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
 def replay_many(paths: "Iterable[str | Path]") -> LedgerReplay:
     """Replay several shard journals into one fail-closed account.
 
@@ -280,9 +289,8 @@ class BudgetLedger:
         *last few* entries for throughput — replay is then still
         consistent, merely stale — and exists for benchmarks and tests.
 
-    Thread-safe: appends serialise on an internal lock (the serving
-    front-end reserves under its own admission lock and commits from
-    the dispatcher thread).
+    Thread-safe: appends serialise on an internal lock, so reserve and
+    settle may come from different threads.
     """
 
     def __init__(
@@ -310,6 +318,10 @@ class BudgetLedger:
         self._settled: set[str] = set()
         try:
             self._fh = open(self._path, "ab")
+            if _ends_mid_line(self._path):
+                # a torn final line: end it, or the next entry would be
+                # glued onto the fragment and lost with it on replay
+                self._append_bytes(b"\n")
         except OSError as exc:
             raise LedgerError(
                 f"cannot open budget journal {self._path}: {exc}"
@@ -422,14 +434,17 @@ class BudgetLedger:
     def _append(self, payload: dict) -> None:
         """Write one entry; caller holds the lock."""
         try:
-            self._fh.write(_encode(payload))
-            self._fh.flush()
-            if self._sync:
-                os.fsync(self._fh.fileno())
+            self._append_bytes(_encode(payload))
         except (OSError, ValueError) as exc:
             raise LedgerError(
                 f"cannot append to budget journal {self._path}: {exc}"
             ) from exc
+
+    def _append_bytes(self, data: bytes) -> None:
+        self._fh.write(data)
+        self._fh.flush()
+        if self._sync:
+            os.fsync(self._fh.fileno())
 
     # ------------------------------------------------------------------
     # compaction and lifecycle

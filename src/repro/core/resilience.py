@@ -418,8 +418,8 @@ class CircuitBreakerSolver:
 
     Implements the same ``solve`` protocol as
     :class:`ResilientSolver`, so it slots in anywhere one does
-    (``MultiStepMechanism.build(solver=...)``, the serving front-end's
-    builder).  Thread-safe; the probe slot is claimed under a lock so
+    (``MultiStepMechanism.build(solver=...)``, and through its
+    ``**msm_kwargs`` ``ServingPool.build``).  Thread-safe; the probe slot is claimed under a lock so
     concurrent half-open callers cannot stampede the substrate.
     """
 

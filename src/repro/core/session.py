@@ -84,21 +84,20 @@ class SanitizationSession:
         Off by default: the disabled path costs nothing.
     mechanism:
         A pre-built per-report mechanism to use instead of building a
-        fresh MSM.  This is how the serving front-end shares one warm
-        engine (and one node cache) across thousands of sessions; only
-        the budget bookkeeping stays per-session.  The mechanism's
-        epsilon must not exceed the per-report spend — a session must
-        never charge less than the privacy its reports consume.
+        fresh MSM, so many sessions can share one warm engine (and one
+        node cache); only the budget bookkeeping stays per-session.
+        The mechanism's epsilon must not exceed the per-report spend —
+        a session must never charge less than the privacy its reports
+        consume.
     obs:
-        An externally-owned observability handle (the serving
-        front-end passes its own so every session's budget metrics land
-        in one registry).  Overrides ``metrics``.
+        An externally-owned observability handle, so several sessions'
+        budget metrics can land in one registry.  Overrides
+        ``metrics``.
 
     The per-report mechanism is built once and reused (its randomness
     comes from the caller-supplied generator), so a session's marginal
     cost per report is just the MSM walk.  Sessions are not
-    thread-safe; concurrent callers must serialise externally (the
-    serving front-end does).
+    thread-safe; concurrent callers must serialise externally.
     """
 
     def __init__(
@@ -264,18 +263,18 @@ class SanitizationSession:
     def record_walk(self, x: Point, walk: WalkResult) -> SessionReport:
         """Spend one report's budget for a walk sampled externally.
 
-        The serving front-end samples many sessions' locations through
-        one shared engine batch and records each outcome into its
-        session here; the bookkeeping (spend, history, degradation
-        provenance, metrics) is identical to :meth:`report`.
+        :meth:`report` samples and records through here; a caller that
+        samples several sessions' locations in one shared batch records
+        each outcome the same way (spend, history, degradation
+        provenance, metrics).
 
         Raises
         ------
         BudgetError
             When the lifetime budget cannot cover the report; nothing
             is spent or recorded in that case.  Callers that sample
-            *before* recording must admission-check first (the server
-            reserves via :meth:`can_report` under its own lock).
+            *before* recording must admission-check first with
+            :meth:`can_report`.
         """
         if not self.can_report():
             self._record_refusal()
@@ -299,47 +298,6 @@ class SanitizationSession:
         self._degradations.append(walk.degradation)
         self._record_reports(1)
         return record
-
-    def restore_spent(
-        self, epsilon: float, label: str = "ledger-replay"
-    ) -> None:
-        """Pre-charge the accountant with spend replayed from a durable
-        ledger.
-
-        Unconditional (fail-closed): replayed spend may exceed the
-        configured lifetime — e.g. the lifetime was lowered between
-        restarts — in which case ``remaining`` goes to (or below) zero
-        and every further report is refused, rather than resetting the
-        user's history.  No report record is created; the reports were
-        delivered (or charged) in a previous process.
-        """
-        self._accountant.restore(epsilon, label=label)
-        if self._obs.enabled:
-            metrics = self._obs.metrics
-            metrics.counter("repro_session_epsilon_restored_total").inc(
-                epsilon
-            )
-            metrics.gauge("repro_session_epsilon_remaining").set(
-                self.remaining
-            )
-
-    def charge_failure(self, label: str = "failed-report") -> None:
-        """Spend one report's budget for a walk that failed mid-flight.
-
-        Fail-closed: once a batch has entered the sampling stage the
-        engine may already have drawn from the user's mechanism, so a
-        failure *after* dispatch charges the budget even though no
-        report is delivered — failures cost utility (and here budget),
-        never privacy.  Unconditional like :meth:`restore_spent`;
-        admission control reserved the headroom before dispatch.
-        """
-        self._accountant.restore(self._per_report, label=label)
-        if self._obs.enabled:
-            metrics = self._obs.metrics
-            metrics.counter("repro_session_failed_charges_total").inc()
-            metrics.gauge("repro_session_epsilon_remaining").set(
-                self.remaining
-            )
 
     def _record_reports(self, n: int) -> None:
         """Session-level budget metrics after ``n`` admitted reports."""

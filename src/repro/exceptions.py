@@ -134,8 +134,8 @@ class ServeError(ReproError):
 
     Raised on overload (the pending-request queue is full), on requests
     outside the served domain, on requests submitted to (or still
-    pending in) a stopped server, and on requests whose deadline
-    elapsed before dispatch.  Budget refusals raise
+    pending in) a stopped pool, on requests whose deadline elapsed
+    before dispatch, and on requests to a shard whose worker crashed.  Budget refusals raise
     :class:`BudgetError` instead — they are an admission-control
     decision, not a serving failure.
 

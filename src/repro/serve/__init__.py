@@ -1,21 +1,16 @@
-"""Concurrent serving front-ends over one shared sanitisation engine.
+"""The serving tier over one shared, precomputed sanitisation engine.
 
-:class:`SanitizationServer` owns many per-user
-:class:`~repro.core.session.SanitizationSession`\\ s sharing a single
-warm :class:`~repro.core.msm.MultiStepMechanism`, coalesces concurrent
-requests into micro-batches through the walk engine, and applies
-admission control on lifetime budgets.  With a
-:class:`~repro.core.ledger.BudgetLedger` attached, every admission is
-journalled durably before it may sample, so a crash or restart can
-never reset a user's spent budget.
-
-:class:`ServingPool` scales the same design across worker processes:
-the warmed mechanism is frozen into a read-only
+:class:`ServingPool` serves concurrent per-user sanitisation requests
+from worker processes: the warmed mechanism is frozen into a read-only
 :class:`MechanismArena` every worker maps at zero copy, users shard to
 workers by the stable hash :func:`shard_for_user` so each budget lives
-in exactly one process, and per-shard stats/metrics fold back through
-an associative merge algebra.  :class:`AsyncSanitizationFrontend`
-bridges the pool into asyncio applications.
+in exactly one process, requests coalesce into micro-batches, and
+per-shard stats/metrics fold back through an associative merge
+algebra.  With a ledger directory every admission is journalled in a
+:class:`~repro.core.ledger.BudgetLedger` before it may sample, so a
+crash or restart can never reset a user's spent budget.
+:class:`AsyncSanitizationFrontend` bridges the pool into asyncio
+applications.
 """
 
 from repro.core.ledger import BudgetLedger
@@ -27,14 +22,13 @@ from repro.serve.pool import (
     shard_for_user,
     shard_journal_path,
 )
-from repro.serve.server import SanitizationServer, ServerConfig, ServerStats
+from repro.serve.server import ServerConfig, ServerStats
 
 __all__ = [
     "ArenaError",
     "AsyncSanitizationFrontend",
     "BudgetLedger",
     "MechanismArena",
-    "SanitizationServer",
     "ServerConfig",
     "ServerStats",
     "ServingPool",

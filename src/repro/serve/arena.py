@@ -226,6 +226,11 @@ class MechanismArena:
         b = self._manifest["bounds"]
         return (float(b[0]), float(b[1]), float(b[2]), float(b[3]))
 
+    @property
+    def budgets(self) -> tuple[float, ...]:
+        """The per-level epsilons; one walk spends their sum."""
+        return tuple(float(b) for b in self._manifest["meta"]["budgets"])
+
     def contains(self, x: float, y: float) -> bool:
         """Whether ``(x, y)`` lies inside the served domain."""
         min_x, min_y, max_x, max_y = self.bounds

@@ -1,9 +1,8 @@
-"""Multi-worker serving: N processes, one arena, sharded budgets.
+"""The serving tier: N processes, one arena, sharded budgets.
 
-:class:`~repro.serve.server.SanitizationServer` serves every user from
-one dispatcher thread in one process — correct, but capped at a single
-core.  :class:`ServingPool` scales that design across processes while
-keeping both of its invariants intact:
+:class:`ServingPool` serves concurrent sanitisation requests for many
+users, each under a lifetime GeoInd budget, from worker processes that
+walk one precomputed mechanism.  Two invariants carry the design:
 
 **One mechanism, zero copies.**  The warmed mechanism is frozen once
 into a :class:`~repro.serve.arena.MechanismArena` (the compiled walk's
@@ -11,7 +10,9 @@ flat arrays under an mmap), and every worker process maps it
 read-only.  The OS page cache backs all mappings with the same
 physical pages, so memory cost is one arena regardless of worker
 count, and no worker can mutate the mechanism out from under its
-peers.
+peers.  The pool refuses an arena whose walk spends more epsilon than
+``per_report_epsilon`` charges, so no report costs more privacy than
+the accountant records.
 
 **Each user's budget lives in exactly one worker.**  Requests route by
 :func:`shard_for_user` — a *stable, pure* function of the user id and
@@ -25,13 +26,17 @@ shard journals reserve → sample → commit into its own
 :class:`~repro.core.ledger.BudgetLedger` file, so a crashed (even
 SIGKILLed) worker is respawned and replays its own journal: its
 shard's spend is restored fail-closed, and no other shard is touched.
+Without a ledger directory the budgets exist only in the workers'
+memory, so the pool fails closed instead: a shard whose worker dies is
+not respawned, and a stopped pool cannot be restarted.
 
-The front half stays the micro-batching dispatcher: one feeder thread
+The front half is the micro-batching dispatcher: one feeder thread
 per shard coalesces submissions into batches (window / max-batch
-bounded, exactly the server's policy), ships them over a pipe, and
-resolves :class:`concurrent.futures.Future`\\ s from the worker's
-reply.  Pipes are per-incarnation — a respawned worker gets fresh ones
-— so a SIGKILL mid-``recv`` can never poison a shared queue lock.
+bounded), drops requests whose caller gave up before they reach the
+worker, ships the rest over a pipe, and resolves
+:class:`concurrent.futures.Future`\\ s from the worker's reply.  Pipes
+are per-incarnation — a respawned worker gets fresh ones — so a
+SIGKILL mid-``recv`` can never poison a shared queue lock.
 
 Statistics obey a merge algebra: per-shard :class:`ServerStats` and
 per-worker metrics snapshots fold associatively and commutatively
@@ -42,10 +47,10 @@ do not depend on the order the workers report in.
 Privacy: batching and sharding only *schedule* independent
 Algorithm-1 walks; each worker draws from its own
 :class:`numpy.random.Generator` (seeded via ``SeedSequence`` spawn
-keys, one stream per worker incarnation), so the sampled distribution
-is the mechanism's — held to the direct path by a chi-square
-equivalence test — and the per-user GeoInd spend is enforced by the
-shard's accountant exactly as in the serial path.
+keys, one stream per worker process, restarts included), so the
+sampled distribution is the mechanism's — held to the direct path by a
+chi-square equivalence test — and the per-user GeoInd spend is
+enforced by the shard's accountant exactly as in the serial path.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ import numpy as np
 from repro.exceptions import BudgetError, LedgerError, ServeError
 from repro.geo.point import Point
 from repro.obs import LATENCY_EDGES, NOOP, SIZE_EDGES, Observability
-from repro.privacy.composition import BudgetAccountant
+from repro.privacy.composition import BudgetAccountant, budget_slack
 from repro.core.ledger import BudgetLedger, LedgerReplay, replay_many
 from repro.core.session import SessionReport
 from repro.serve.arena import MechanismArena
@@ -108,7 +113,7 @@ class ShardBudgetBook:
 
     The same arithmetic as :class:`~repro.core.session.SanitizationSession`
     — one :class:`~repro.privacy.composition.BudgetAccountant` per user
-    — plus the server's reserve → sample → commit ledger protocol.  On
+    — plus the ledger's reserve → sample → commit protocol.  On
     construction with a ledger, replayed spend (committed *and* orphaned
     reservations — fail closed) is restored into the accountants before
     any request is admitted, and orphans are settled as final spend.
@@ -139,8 +144,7 @@ class ShardBudgetBook:
         self._reports: dict[str, int] = {}
         # reservations admitted but not yet settled — several requests
         # for one user can share a batch, and admission must count the
-        # earlier ones or the batch overdrafts at settle time (the same
-        # race the server closes with its reservation counts)
+        # earlier ones or the batch overdrafts at settle time
         self._outstanding: dict[str, int] = {}
         self.replayed_users = 0
         self.replayed_epsilon = 0.0
@@ -230,16 +234,6 @@ class ShardBudgetBook:
         )
         self._close_reservation(user)
         self._commit(entry_id)
-
-    def release(self, user: str, entry_id: str | None) -> None:
-        """Refund a reservation that provably never sampled."""
-        self._close_reservation(user)
-        if self._ledger is None or entry_id is None:
-            return
-        try:
-            self._ledger.release(entry_id)
-        except LedgerError:
-            self.ledger_errors += 1
 
     def _close_reservation(self, user: str) -> None:
         count = self._outstanding.get(user, 0)
@@ -344,9 +338,17 @@ def _pool_worker_main(
     collect_metrics: bool,
     conn_req,
     conn_resp,
+    parent_ends: tuple = (),
 ) -> None:
     """Worker process entry: map the arena, serve batches until told
-    to stop.  Module-level (picklable) so ``spawn`` contexts work."""
+    to stop.  Module-level (picklable) so ``spawn`` contexts work.
+
+    ``parent_ends`` are the frontend's ends of this worker's pipes,
+    which a forked child inherits; closing them here means a frontend
+    that dies (even by SIGKILL) leaves the worker reading EOF, so it
+    exits instead of blocking on ``recv`` forever."""
+    for conn in parent_ends:
+        conn.close()
     ledger = None
     try:
         arena = MechanismArena.open(arena_dir)
@@ -471,6 +473,9 @@ class _ShardHandle:
         self.resp_conn = None
         self.thread: threading.Thread | None = None
         self.final_snapshot = None
+        #: set when the worker died with no journal to replay: the
+        #: shard's budgets are gone, so it serves nothing further
+        self.lost = False
         self._incarnation = 0
         self._batch_seq = 0
         self._token_seq = 0
@@ -492,10 +497,14 @@ class _ShardHandle:
         ctx = pool._ctx
         req_recv, req_send = ctx.Pipe(duplex=False)
         resp_recv, resp_send = ctx.Pipe(duplex=False)
+        # one stream per process, restarts included: a worker that
+        # replayed an earlier incarnation's draws would correlate the
+        # noise of reports the accountant charges as independent
         seed_seq = np.random.SeedSequence(
             entropy=pool._seed_root.entropy,
             spawn_key=(self.shard_id, self._incarnation),
         )
+        self._incarnation += 1
         proc = ctx.Process(
             target=_pool_worker_main,
             args=(
@@ -507,6 +516,7 @@ class _ShardHandle:
                 pool._collect_worker_metrics,
                 req_recv,
                 resp_send,
+                (req_send, resp_recv),
             ),
             name=f"repro-pool-worker-{self.shard_id}",
             daemon=True,
@@ -560,7 +570,13 @@ class _ShardHandle:
 
     def _respawn(self) -> None:
         """Replace a dead incarnation; its shard ledger replays in the
-        new worker, restoring the shard's spend fail-closed."""
+        new worker, restoring the shard's spend fail-closed.
+
+        Without a ledger the dead worker took its shard's budgets with
+        it, and a fresh worker would grant every user a full lifetime
+        again.  The shard is marked :attr:`lost` instead: its requests
+        fail with reason ``worker-crashed`` from then on.
+        """
         for conn in (self.req_conn, self.resp_conn):
             try:
                 conn.close()
@@ -568,7 +584,10 @@ class _ShardHandle:
                 pass
         if self.proc is not None:
             self.proc.join(timeout=5.0)
-        self._incarnation += 1
+        if self.pool._ledger_dir is None:
+            self.lost = True
+            self.proc = None
+            return
         self._spawn()
         with self.pool._lock:
             self.stats.respawns += 1
@@ -640,6 +659,8 @@ class _ShardHandle:
         start = time.perf_counter()
         outcomes = None
         for _attempt in range(2):
+            if self.lost:
+                break
             try:
                 self.req_conn.send(("batch", batch_id, payload))
             except (OSError, ValueError):
@@ -689,9 +710,15 @@ class _ShardHandle:
     def _fail_batch(self, live: list[_PoolRequest]) -> None:
         with self.pool._lock:
             self.stats.failed += len(live)
+        detail = (
+            "it has no budget journal to replay, so the shard serves "
+            "nothing further"
+            if self.pool._ledger_dir is None
+            else "its journalled reservations replay as spent"
+        )
         error = ServeError(
-            f"shard {self.shard_id} worker crashed mid-batch; its "
-            f"journalled reservations replay as spent (fail closed)",
+            f"shard {self.shard_id} worker crashed; {detail} "
+            f"(fail closed)",
             reason="worker-crashed",
         )
         for request in live:
@@ -755,6 +782,9 @@ class _ShardHandle:
                 latency.observe(value)
 
     def _roundtrip_snapshot(self, ticket: _SnapshotTicket) -> None:
+        if self.lost:
+            ticket.future.set_result(None)
+            return
         self._token_seq += 1
         token = self._token_seq
         try:
@@ -809,7 +839,7 @@ class _ShardHandle:
                     continue
             except (EOFError, OSError):
                 break
-            if not self.proc.is_alive():
+            if self.proc is None or not self.proc.is_alive():
                 break
         if self.proc is not None:
             self.proc.join(timeout=5.0)
@@ -832,9 +862,11 @@ class ServingPool:
         A :class:`~repro.serve.arena.MechanismArena` (or its directory)
         every worker maps read-only at zero copy.
     config:
-        The same :class:`~repro.serve.server.ServerConfig` envelope as
-        the in-process server; ``coalesce_window`` / ``max_batch``
-        apply *per shard*, ``max_pending`` pool-wide.
+        The :class:`~repro.serve.server.ServerConfig` envelope;
+        ``coalesce_window`` / ``max_batch`` apply *per shard*,
+        ``max_pending`` pool-wide.  ``per_report_epsilon`` must cover
+        the arena's walk (the sum of its level budgets), or
+        :class:`~repro.exceptions.BudgetError` is raised.
     workers:
         Number of worker processes (= budget shards).  On a single
         core the pool still serves correctly — the workers time-slice —
@@ -843,7 +875,8 @@ class ServingPool:
     ledger_dir:
         Directory for per-shard budget journals (crash safety).  Each
         shard owns ``shard-NNN.journal``; a respawned worker replays
-        only its own file.
+        only its own file.  Without it the pool fails closed: a dead
+        worker is not respawned, and a stopped pool cannot restart.
     obs / seed / start_method:
         Frontend observability handle, RNG root seed (worker streams
         are spawned from it per shard *and* per incarnation), and an
@@ -885,6 +918,17 @@ class ServingPool:
             )
         if not isinstance(arena, MechanismArena):
             arena = MechanismArena.open(arena)
+        # the session's rule: a report must never be charged less than
+        # the privacy its walk consumes
+        walk_epsilon = sum(arena.budgets)
+        if walk_epsilon > config.per_report_epsilon + budget_slack(
+            walk_epsilon
+        ):
+            raise BudgetError(
+                f"arena walk spends epsilon={walk_epsilon:.4g} per report, "
+                f"more than the per-report charge "
+                f"{config.per_report_epsilon:.4g}"
+            )
         self._arena = arena
         self._config = config
         self._workers = int(workers)
@@ -915,6 +959,9 @@ class ServingPool:
         self._lock = threading.Lock()
         self._pending = 0
         self._running = False
+        self._started = False
+        # removed by its finaliser when the pool is collected, so a
+        # stopped pool can still restart over its arena
         self._owned_tmpdir: tempfile.TemporaryDirectory | None = None
 
     # ------------------------------------------------------------------
@@ -937,12 +984,12 @@ class ServingPool:
     ) -> "ServingPool":
         """Build, warm, freeze, and wrap a mechanism in one call.
 
-        Builds the MSM exactly like
-        :meth:`SanitizationServer.build
-        <repro.serve.server.SanitizationServer.build>` (optionally warm
-        from / persist to a ``store``), compiles the warmed tree, and
-        freezes it into ``arena_dir`` (a pool-owned temporary directory
-        when omitted, removed on :meth:`stop`).
+        Builds the MSM at ``config.per_report_epsilon`` (optionally warm
+        from / persist to a ``store``, a
+        :class:`~repro.core.store.MechanismStore` or a directory path),
+        compiles the warmed tree, and freezes it into ``arena_dir`` (a
+        pool-owned temporary directory when omitted, removed once the
+        pool is garbage-collected).
         """
         from repro.core.msm import MultiStepMechanism
         from repro.core.store import MechanismStore
@@ -993,10 +1040,25 @@ class ServingPool:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ServingPool":
+        """Start every shard's worker and feeder (idempotent).
+
+        A pool with a ``ledger_dir`` restarts after :meth:`stop`: each
+        new worker replays its shard journal first.  Without one, the
+        stopped workers' budgets are gone, so a restart raises
+        :class:`~repro.exceptions.ServeError` rather than grant every
+        user a fresh lifetime.
+        """
         with self._lock:
             if self._running:
                 return self
+            if self._started and self._ledger_dir is None:
+                raise ServeError(
+                    "a serving pool without ledger_dir cannot restart: "
+                    "its users' spent budgets died with the workers",
+                    reason="stopped",
+                )
             self._running = True
+            self._started = True
         try:
             for shard in self._shards:
                 shard.start()
@@ -1016,9 +1078,6 @@ class ServingPool:
                 return
             self._running = False
         self._shutdown_shards()
-        if self._owned_tmpdir is not None:
-            self._owned_tmpdir.cleanup()
-            self._owned_tmpdir = None
 
     def _shutdown_shards(self) -> None:
         for shard in self._shards:
@@ -1132,16 +1191,30 @@ class ServingPool:
                 metrics = self._obs.metrics
                 metrics.counter("repro_pool_requests_total").inc()
                 metrics.gauge("repro_pool_inflight").set(self._pending)
-            # enqueue under the lock (same rationale as the server: a
-            # racing stop() must not strand an admitted request)
+            # enqueue under the lock: a racing stop() queues its
+            # sentinel after every admitted request, so none is stranded
             handle.inbox.put(request)
         return request
 
     def report(
         self, user_id: str, x: Point, timeout: float | None = 30.0
     ) -> SessionReport:
-        """Blocking form of :meth:`submit` (same contract as the
-        in-process server's :meth:`~SanitizationServer.report`)."""
+        """Sanitise ``x`` for ``user_id`` through its shard's next
+        micro-batch; safe to call from any number of threads.
+
+        ``timeout`` becomes the request's deadline.  If it elapses the
+        request is marked abandoned, so the feeder drops it before it
+        reaches the worker if it has not been dispatched yet; a request
+        already being sampled still spends its budget (fail closed).
+
+        Raises
+        ------
+        BudgetError
+            When the owning shard refuses the user's budget.
+        ServeError
+            On overload, out-of-domain requests, a stopped pool, a lost
+            shard, or when ``timeout`` elapses first.
+        """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )

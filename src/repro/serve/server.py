@@ -1,113 +1,40 @@
-"""A concurrent serving front-end over one shared walk engine.
+"""The serving envelope and its stats snapshot.
 
-The paper's client-side deployment model precomputes per-node
-mechanisms and ships them to devices; a *server-side* deployment keeps
-the precomputed engine in one process and lets many concurrent user
-sessions report through it.  :class:`SanitizationServer` is that
-front-end:
-
-* it owns many :class:`~repro.core.session.SanitizationSession`\\ s —
-  one per user, each with its own lifetime budget — all sharing **one**
-  warm :class:`~repro.core.msm.MultiStepMechanism` (and therefore one
-  memory-bounded node cache and one persistent-store warm start);
-
-* requests arriving concurrently are **coalesced into micro-batches**:
-  a dispatcher thread gathers everything that arrives within a small
-  window (bounded by a max batch size) and feeds it to
-  :meth:`WalkEngine.run <repro.core.engine.WalkEngine.run>` as one
-  batch, which is exactly where the batch engine's group-by-node bulk
-  cache warm-up and vectorised sampling pay off;
-
-* **admission control** happens at submit time, under the server lock,
-  against each session's lifetime budget *including its in-flight
-  reservations* — a user cannot overdraw by racing requests — and
-  against a bounded pending queue (overload sheds load instead of
-  growing without bound);
-
-* **crash safety** is optional but first-class: give the server a
-  :class:`~repro.core.ledger.BudgetLedger` and every admission journals
-  a durable *reservation* before the walk may sample, every delivery
-  (or post-dispatch failure) journals a *commit*, and only requests
-  that provably never sampled (abandoned before dispatch, drained by
-  ``stop()``) journal a *release*.  A restarted server replays the
-  journal and pre-charges each user's session, so a crash can reset
-  nothing — the reserve → sample → commit protocol fails closed at
-  every interleaving;
-
-* **deadlines travel with the request**: :meth:`report` turns its
-  timeout into a per-request deadline, a caller that gives up marks the
-  request *abandoned*, and the dispatcher skips (and refunds) expired
-  or abandoned requests *before* sampling instead of spending budget on
-  a result nobody receives.  Transient overload is retried with bounded
-  exponential backoff inside the deadline;
-
-* everything is instrumented through :mod:`repro.obs` (request /
-  rejection / batch / coalescing / abandonment counters, batch-size and
-  latency histograms, live session and in-flight gauges) alongside the
-  cache's eviction metrics, the store's traffic metrics, and the
-  ledger's journal metrics.
-
-Privacy: batching across users never weakens per-user GeoInd.  Each
-walk in a batch is an independent Algorithm-1 walk with its own
-randomness; grouping by node only *schedules* the draws together.  The
-per-user guarantee is the session's, enforced by its accountant exactly
-as in the serial path (the batch spend is recorded per session through
-:meth:`SanitizationSession.record_walk`).
+:class:`ServerConfig` carries the knobs of the serving tier
+(:class:`~repro.serve.pool.ServingPool`): the per-user lifetime budget,
+the per-report charge, and the micro-batching policy.
+:class:`ServerStats` is the plain counter snapshot each shard keeps and
+the pool folds together through :meth:`ServerStats.merge`.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.resilience import BreakerConfig
-
-from repro.exceptions import BudgetError, LedgerError, ServeError
-from repro.geo.point import Point
-from repro.obs import LATENCY_EDGES, NOOP, SIZE_EDGES, Observability
-from repro.core.ledger import BudgetLedger
-from repro.core.msm import MultiStepMechanism
-from repro.core.session import SanitizationSession, SessionReport
-from repro.core.store import MechanismStore
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Tuning knobs for a :class:`SanitizationServer`.
+    """Tuning knobs for a :class:`~repro.serve.pool.ServingPool`.
 
     Attributes
     ----------
     lifetime_epsilon:
-        Lifetime GeoInd budget granted to each user session.
+        Lifetime GeoInd budget granted to each user.
     per_report_epsilon:
-        Budget one sanitised report consumes (must equal the shared
-        mechanism's epsilon; the session constructor enforces it).
+        Budget one sanitised report is charged.  It must cover the
+        served mechanism's epsilon (the sum of its level budgets); the
+        pool refuses an arena that spends more per walk.
     coalesce_window:
-        How long (seconds) the dispatcher waits after the first pending
-        request to gather more into the same micro-batch.  Zero
+        How long (seconds) a shard's feeder waits after the first
+        pending request to gather more into the same micro-batch.  Zero
         degenerates to one-request batches.
     max_batch:
         Hard cap on micro-batch size; a full batch dispatches
         immediately without waiting out the window.
     max_pending:
-        Bound on queued-but-undispatched requests; submissions beyond
-        it are shed with :class:`~repro.exceptions.ServeError`
-        (reason ``overload``) rather than queueing unboundedly.
-    retry_attempts:
-        How many times :meth:`SanitizationServer.report` re-submits
-        after a *transient* refusal (reason ``overload``), with
-        exponential backoff, before giving up.  Zero disables retries;
-        :meth:`SanitizationServer.submit` itself never retries.
-    retry_backoff:
-        Base backoff (seconds) before the first retry; doubles per
-        attempt and is always clipped to the caller's deadline.
+        Bound on queued-but-unanswered requests; submissions beyond it
+        are shed with :class:`~repro.exceptions.ServeError` (reason
+        ``overload``) rather than queueing unboundedly.
     """
 
     lifetime_epsilon: float
@@ -115,60 +42,12 @@ class ServerConfig:
     coalesce_window: float = 0.002
     max_batch: int = 512
     max_pending: int = 10_000
-    retry_attempts: int = 2
-    retry_backoff: float = 0.05
-
-
-class _PendingRequest:
-    """One in-flight request: its inputs, its rendezvous, its outcome.
-
-    ``deadline`` (``time.monotonic`` seconds, or None) travels with the
-    request so the dispatcher can refuse to sample for a caller that
-    has already given up; ``entry_id`` links it to its durable ledger
-    reservation; ``abandoned`` is the caller-side cancellation flag set
-    by :meth:`SanitizationServer.report` on timeout (advisory: a
-    request already being sampled still commits its budget).
-    """
-
-    __slots__ = (
-        "user_id", "x", "submitted", "done", "report", "error",
-        "deadline", "entry_id", "abandoned",
-    )
-
-    def __init__(
-        self, user_id: str, x: Point, deadline: float | None = None
-    ):
-        self.user_id = user_id
-        self.x = x
-        self.submitted = time.perf_counter()
-        self.done = threading.Event()
-        self.report: SessionReport | None = None
-        self.error: Exception | None = None
-        self.deadline = deadline
-        self.entry_id: str | None = None
-        self.abandoned = False
-
-    def abandon(self) -> None:
-        """Mark the request as given up by its caller (advisory)."""
-        self.abandoned = True
-
-    def expired(self, now: float) -> bool:
-        """Whether the caller's deadline elapsed at monotonic ``now``."""
-        return self.deadline is not None and now > self.deadline
-
-    def fail(self, error: Exception) -> None:
-        self.error = error
-        self.done.set()
-
-    def complete(self, report: SessionReport) -> None:
-        self.report = report
-        self.done.set()
 
 
 @dataclass
 class ServerStats:
-    """A plain snapshot of the server's own counters (always available,
-    even with observability disabled)."""
+    """A plain snapshot of serving counters (always available, even
+    with observability disabled)."""
 
     requests: int = 0
     completed: int = 0
@@ -181,11 +60,9 @@ class ServerStats:
     sessions: int = 0
     max_batch_points: int = 0
     abandoned: int = 0
-    retries: int = 0
     replayed_users: int = 0
     replayed_epsilon: float = 0.0
-    #: worker-process respawns (always 0 for the in-process server;
-    #: the multi-worker pool counts its crash recoveries here)
+    #: worker-process respawns after a crash
     respawns: int = 0
 
     def as_dict(self) -> dict:
@@ -203,7 +80,7 @@ class ServerStats:
         order (tree-reduce, incremental, stragglers last) to the same
         totals.  Counters add; ``max_batch_points`` takes the max.
         ``sessions`` adds because the pool shards users by stable hash:
-        a user's session lives in exactly one shard, so shard session
+        a user's budget lives in exactly one shard, so shard session
         counts are disjoint by construction.
         """
         merged = ServerStats()
@@ -213,596 +90,3 @@ class ServerStats:
                 merged, key, max(a, b) if key in self._MERGE_MAX else a + b
             )
         return merged
-
-
-class SanitizationServer:
-    """Serve concurrent sanitisation requests over one shared mechanism.
-
-    Parameters
-    ----------
-    mechanism:
-        The shared per-report mechanism (its epsilon is the per-report
-        spend).  Build it with a memory-bounded cache and warm-start it
-        from a :class:`~repro.core.store.MechanismStore` for a
-        production-shaped setup; :meth:`build` wires all of that.
-    config:
-        The :class:`ServerConfig` envelope.
-    obs:
-        Optional observability handle; it is bound through the whole
-        stack (engine, cache, solver) and every session's budget
-        metrics land in the same registry.
-
-    Usage::
-
-        with SanitizationServer(msm, config) as server:
-            report = server.report("user-1", Point(3.2, 7.9))
-
-    ``report`` blocks until the micro-batch containing the request has
-    been walked; any number of threads may call it concurrently.
-    """
-
-    def __init__(
-        self,
-        mechanism: MultiStepMechanism,
-        config: ServerConfig,
-        obs: Observability | None = None,
-        ledger: "BudgetLedger | str | Path | None" = None,
-    ):
-        if config.per_report_epsilon <= 0:
-            raise BudgetError(
-                f"per-report budget must be positive, "
-                f"got {config.per_report_epsilon}"
-            )
-        if config.max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {config.max_batch}")
-        self._mechanism = mechanism
-        self._config = config
-        self._obs = obs if obs is not None else NOOP
-        if obs is not None:
-            mechanism.engine.bind_observability(obs)
-        self._sessions: dict[str, SanitizationSession] = {}
-        self._reserved: dict[str, int] = {}
-        self._lock = threading.RLock()
-        self._queue: queue.Queue[_PendingRequest | None] = queue.Queue()
-        self._pending = 0
-        self._rng = np.random.default_rng()
-        self._dispatcher: threading.Thread | None = None
-        self._running = False
-        self._stop_seen = False
-        self.stats = ServerStats()
-        if isinstance(ledger, (str, Path)):
-            ledger = BudgetLedger(ledger)
-        self._ledger = ledger
-        if self._ledger is not None:
-            if obs is not None:
-                self._ledger.bind_observability(obs)
-            self._restore_from_ledger()
-
-    def _restore_from_ledger(self) -> None:
-        """Pre-charge sessions with the journal's replayed spend.
-
-        Every replayed epsilon — committed, or merely reserved when the
-        previous process died — is restored into the user's accountant
-        before the first request is admitted, and the orphaned
-        reservations are settled with a commit so they replay (and
-        compact) as final spend from now on.  Fail-closed: replayed
-        spend above the lifetime leaves the session exhausted, never
-        reset.
-        """
-        assert self._ledger is not None
-        replayed = self._ledger.spent_by_user()
-        for user_id in sorted(replayed):
-            epsilon = replayed[user_id]
-            if epsilon <= 0:
-                continue
-            self.session(user_id).restore_spent(epsilon)
-            self.stats.replayed_users += 1
-            self.stats.replayed_epsilon += epsilon
-        for entry_id in sorted(self._ledger.open_reservations()):
-            self._ledger.commit(entry_id)
-
-    @property
-    def ledger(self) -> BudgetLedger | None:
-        """The durable budget ledger, when crash safety is enabled."""
-        return self._ledger
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        prior,
-        config: ServerConfig,
-        granularity: int = 4,
-        rho: float = 0.8,
-        cache_max_bytes: int | None = None,
-        store: "MechanismStore | str | Path | None" = None,
-        obs: Observability | None = None,
-        seed: int | None = None,
-        ledger: "BudgetLedger | str | Path | None" = None,
-        breaker: "BreakerConfig | None" = None,
-        **msm_kwargs,
-    ) -> "SanitizationServer":
-        """Build the shared mechanism and a server around it.
-
-        Wires the production-shaped stack in one call: a
-        memory-bounded node cache (``cache_max_bytes``), a
-        warm-start/persist round trip against ``store`` (a
-        :class:`~repro.core.store.MechanismStore` or a directory path),
-        a durable budget ``ledger`` (a
-        :class:`~repro.core.ledger.BudgetLedger` or a journal path —
-        replayed before the first request is admitted), an optional
-        solver circuit ``breaker``
-        (:class:`~repro.core.resilience.BreakerConfig`), and
-        observability through every layer.
-        """
-        from repro.core.cache import NodeMechanismCache
-        from repro.core.resilience import CircuitBreakerSolver
-
-        cache = NodeMechanismCache(max_bytes=cache_max_bytes)
-        if breaker is not None and "solver" not in msm_kwargs:
-            msm_kwargs["solver"] = CircuitBreakerSolver(config=breaker)
-        msm = MultiStepMechanism.build(
-            config.per_report_epsilon,
-            granularity,
-            prior,
-            rho=rho,
-            cache=cache,
-            obs=obs,
-            **msm_kwargs,
-        )
-        if store is not None:
-            if not isinstance(store, MechanismStore):
-                store = MechanismStore(store)
-            if obs is not None:
-                store.bind_observability(obs)
-            store.get_or_build(msm)
-        # serving batches are micro-batches: let even a single-point
-        # batch ride the compiled kernel once the cache can hold the
-        # tree ('auto' still falls back to the staged walk when it
-        # cannot, e.g. under a tight cache_max_bytes)
-        msm.engine.kernel_min_batch = 1
-        server = cls(msm, config, obs=obs, ledger=ledger)
-        if seed is not None:
-            server._rng = np.random.default_rng(seed)
-        return server
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "SanitizationServer":
-        """Start the dispatcher thread (idempotent, restartable)."""
-        with self._lock:
-            if self._running:
-                return self
-            self._running = True
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
-        return self
-
-    def stop(self) -> None:
-        """Drain the queue, stop the dispatcher, fail anything left.
-
-        Exactly one stop sentinel is ever enqueued (the dispatcher
-        never re-queues it), so a stop racing the coalescing loop can
-        neither leave a stray sentinel for a later :meth:`start` nor
-        double-drain.  Requests still queued when the dispatcher exits
-        provably never sampled: they fail closed with
-        :class:`~repro.exceptions.ServeError` *and* their budget
-        reservations are released (refunded), in memory and in the
-        ledger.
-        """
-        with self._lock:
-            if not self._running:
-                return
-            self._running = False
-        self._queue.put(None)
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-            self._dispatcher = None
-        # anything still queued after the dispatcher exited fails closed
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is not None:
-                with self._lock:
-                    self._release_request(request)
-                request.fail(
-                    ServeError("server stopped", reason="stopped")
-                )
-
-    def __enter__(self) -> "SanitizationServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
-    def mechanism(self) -> MultiStepMechanism:
-        """The shared per-report mechanism."""
-        return self._mechanism
-
-    @property
-    def config(self) -> ServerConfig:
-        return self._config
-
-    @property
-    def observability(self) -> Observability:
-        return self._obs
-
-    # ------------------------------------------------------------------
-    # sessions
-    # ------------------------------------------------------------------
-    def session(self, user_id: str) -> SanitizationSession:
-        """The user's session, created on first use."""
-        with self._lock:
-            session = self._sessions.get(user_id)
-            if session is None:
-                session = SanitizationSession(
-                    self._config.lifetime_epsilon,
-                    self._config.per_report_epsilon,
-                    mechanism=self._mechanism,
-                    obs=self._obs,
-                )
-                self._sessions[user_id] = session
-                self._reserved[user_id] = 0
-                self.stats.sessions = len(self._sessions)
-                if self._obs.enabled:
-                    self._obs.metrics.gauge("repro_serve_sessions").set(
-                        len(self._sessions)
-                    )
-            return session
-
-    def sessions(self) -> dict[str, SanitizationSession]:
-        """All live sessions by user id (a copy)."""
-        with self._lock:
-            return dict(self._sessions)
-
-    # ------------------------------------------------------------------
-    # the request path
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        user_id: str,
-        x: Point,
-        deadline: float | None = None,
-    ) -> _PendingRequest:
-        """Admit a request into the next micro-batch (non-blocking).
-
-        Admission control runs here, under the server lock:
-
-        * the point must lie inside the served domain;
-        * the pending queue must have room (overload sheds);
-        * the user's lifetime budget must afford the request *on top
-          of* every report the user already has in flight — the
-          reservation count closes the race where k parallel requests
-          each pass a lone ``can_report`` check but only j < k fit.
-
-        With a ledger, the reservation is journalled (and fsync'd)
-        before this returns, so a crash at any later point replays the
-        request's budget as spent — fail closed.
-
-        ``deadline`` is an absolute ``time.monotonic`` instant; a
-        request whose deadline has elapsed by dispatch time is skipped
-        *before* sampling and its reservation refunded.
-
-        Returns the pending-request handle; wait on ``.done`` or use
-        :meth:`report` for the blocking form.
-        """
-        if not self._mechanism.index.bounds.contains(x):
-            self._reject("domain")
-            raise ServeError(
-                f"location ({x.x:.4g}, {x.y:.4g}) is outside the served "
-                f"domain",
-                reason="domain",
-            )
-        with self._lock:
-            if not self._running:
-                raise ServeError(
-                    "server is not running; call start()", reason="stopped"
-                )
-            session = self.session(user_id)
-            if self._pending >= self._config.max_pending:
-                self._reject("overload")
-                raise ServeError(
-                    f"pending queue full ({self._config.max_pending} "
-                    f"requests); shedding load",
-                    reason="overload",
-                )
-            reserved = self._reserved[user_id]
-            if session.reports_remaining - reserved < 1:
-                self._reject("budget")
-                raise BudgetError(
-                    f"user {user_id!r}: lifetime budget cannot cover "
-                    f"another report ({reserved} already in flight, "
-                    f"remaining {session.remaining:.4g})"
-                )
-            request = _PendingRequest(user_id, x, deadline=deadline)
-            if self._ledger is not None:
-                # durable *before* the walk may sample; admission has
-                # already held the headroom, so the journal write is
-                # the only fallible step left
-                request.entry_id = self._ledger.reserve(
-                    user_id, self._config.per_report_epsilon
-                )
-            self._reserved[user_id] = reserved + 1
-            self._pending += 1
-            self.stats.requests += 1
-            if self._obs.enabled:
-                self._obs.metrics.counter("repro_serve_requests_total").inc()
-                self._obs.metrics.gauge("repro_serve_inflight").set(
-                    self._pending
-                )
-            # enqueue under the lock: a concurrent stop() drains the
-            # queue after flipping _running, so a request enqueued
-            # outside the lock could slip in after the drain and leave
-            # its caller hanging on done.wait forever
-            self._queue.put(request)
-        return request
-
-    def report(
-        self, user_id: str, x: Point, timeout: float | None = 30.0
-    ) -> SessionReport:
-        """Sanitise ``x`` for ``user_id`` through the next micro-batch.
-
-        Blocking form of :meth:`submit`; safe to call from any number
-        of threads concurrently.  ``timeout`` becomes the request's
-        end-to-end deadline: it bounds admission retries, queueing and
-        the walk together.  If it elapses, the request is marked
-        *abandoned* so the dispatcher refuses to sample (and refunds)
-        it if it has not entered a batch yet; a request already being
-        sampled still commits its budget (fail closed — the draw may
-        have happened).
-
-        Transient refusals (reason ``overload``) are retried up to
-        ``config.retry_attempts`` times with exponential backoff, never
-        past the deadline.
-
-        Raises
-        ------
-        BudgetError
-            When admission control refuses the user's budget.
-        ServeError
-            On overload (after retries), out-of-domain requests, a
-            stopped server, or when ``timeout`` elapses first.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        attempt = 0
-        while True:
-            try:
-                request = self.submit(user_id, x, deadline=deadline)
-                break
-            except ServeError as exc:
-                if (
-                    exc.reason != "overload"
-                    or attempt >= self._config.retry_attempts
-                ):
-                    raise
-                delay = self._config.retry_backoff * (2.0 ** attempt)
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= delay:
-                        raise
-                attempt += 1
-                with self._lock:
-                    self.stats.retries += 1
-                if self._obs.enabled:
-                    self._obs.metrics.counter(
-                        "repro_serve_retries_total"
-                    ).inc()
-                time.sleep(delay)
-        wait_for = (
-            None if deadline is None
-            else max(0.0, deadline - time.monotonic())
-        )
-        if not request.done.wait(wait_for):
-            request.abandon()
-            raise ServeError(
-                f"request for {user_id!r} timed out after {timeout:.3g}s",
-                reason="timeout",
-            )
-        if request.error is not None:
-            raise request.error
-        assert request.report is not None
-        return request.report
-
-    def _reject(self, reason: str) -> None:
-        with self._lock:
-            if reason == "budget":
-                self.stats.rejected_budget += 1
-            elif reason == "overload":
-                self.stats.rejected_overload += 1
-            else:
-                self.stats.rejected_domain += 1
-        if self._obs.enabled:
-            self._obs.metrics.counter(
-                "repro_serve_rejections_total", reason=reason
-            ).inc()
-
-    # ------------------------------------------------------------------
-    # the dispatcher
-    # ------------------------------------------------------------------
-    def _collect_batch(self) -> list[_PendingRequest] | None:
-        """Block for the first request, then coalesce the window.
-
-        Returns None when the stop sentinel arrives with nothing
-        gathered; a sentinel arriving mid-gather sets ``_stop_seen``
-        (it is consumed, never re-queued — so a stop racing the
-        coalescing loop cannot leave a stray sentinel to instantly kill
-        a restarted dispatcher) and the gathered batch dispatches
-        first.
-        """
-        try:
-            first = self._queue.get(timeout=0.1)
-        except queue.Empty:
-            return []
-        if first is None:
-            self._stop_seen = True
-            return None
-        batch = [first]
-        deadline = time.perf_counter() + self._config.coalesce_window
-        while len(batch) < self._config.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                request = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if request is None:
-                self._stop_seen = True
-                break
-            batch.append(request)
-        return batch
-
-    def _dispatch_loop(self) -> None:
-        self._stop_seen = False
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            if batch:
-                self._run_batch(batch)
-            if self._stop_seen:
-                return
-            if not batch and not self._running and self._queue.empty():
-                return
-
-    def _run_batch(self, batch: list[_PendingRequest]) -> None:
-        # Deadline/cancellation gate: a request whose caller gave up
-        # (abandoned) or whose deadline elapsed while queued is refused
-        # *before* sampling — its budget provably never left the
-        # reservation stage, so it is refunded in memory and released
-        # in the ledger instead of being spent on a result nobody
-        # receives.
-        now = time.monotonic()
-        live: list[_PendingRequest] = []
-        with self._lock:
-            for request in batch:
-                if request.abandoned or request.expired(now):
-                    self._release_request(request)
-                    self.stats.abandoned += 1
-                    if self._obs.enabled:
-                        self._obs.metrics.counter(
-                            "repro_serve_abandoned_total"
-                        ).inc()
-                    request.fail(
-                        ServeError(
-                            f"request for {request.user_id!r} abandoned "
-                            f"before dispatch (caller deadline elapsed)",
-                            reason="abandoned",
-                        )
-                    )
-                else:
-                    live.append(request)
-        if not live:
-            return
-        points = [r.x for r in live]
-        start = time.perf_counter()
-        try:
-            walks = self._mechanism.sanitize_batch(
-                points, self._rng, trace=False
-            )
-        except Exception as exc:  # fail the whole batch, never hang it
-            with self._lock:
-                for request in live:
-                    # fail closed: the engine may already have drawn
-                    # from the mechanism before failing, so the budget
-                    # is charged and the reservation committed — a
-                    # failure costs utility (and here budget), never
-                    # privacy
-                    self._sessions[request.user_id].charge_failure()
-                    self._settle_request(request)
-                    request.fail(exc)
-                self.stats.failed += len(live)
-            if self._obs.enabled:
-                self._obs.metrics.counter(
-                    "repro_serve_batch_failures_total"
-                ).inc()
-            return
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            for request, walk in zip(live, walks):
-                session = self._sessions[request.user_id]
-                try:
-                    report = session.record_walk(request.x, walk)
-                except BudgetError as exc:
-                    # cannot happen while reservations are accounted
-                    # correctly, but never let a request hang on it —
-                    # and the sample *was* drawn, so charge and commit
-                    session.charge_failure()
-                    request.fail(exc)
-                    self.stats.failed += 1
-                else:
-                    request.complete(report)
-                    self.stats.completed += 1
-                self._settle_request(request)
-            self.stats.batches += 1
-            self.stats.coalesced += len(live) - 1
-            self.stats.max_batch_points = max(
-                self.stats.max_batch_points, len(live)
-            )
-            if self._obs.enabled:
-                metrics = self._obs.metrics
-                metrics.counter("repro_serve_batches_total").inc()
-                metrics.counter("repro_serve_coalesced_total").inc(
-                    len(live) - 1
-                )
-                metrics.histogram(
-                    "repro_serve_batch_points", edges=SIZE_EDGES
-                ).observe(len(live))
-                metrics.histogram(
-                    "repro_serve_batch_seconds", edges=LATENCY_EDGES
-                ).observe(elapsed)
-                now = time.perf_counter()
-                latency = metrics.histogram(
-                    "repro_serve_latency_seconds", edges=LATENCY_EDGES
-                )
-                for request in live:
-                    latency.observe(now - request.submitted)
-                metrics.gauge("repro_serve_inflight").set(self._pending)
-
-    def _release_request(self, request: _PendingRequest) -> None:
-        """Refund a request that provably never sampled.  Caller holds
-        the lock."""
-        if request.user_id in self._reserved:
-            self._reserved[request.user_id] -= 1
-        self._pending -= 1
-        if self._ledger is not None and request.entry_id is not None:
-            try:
-                self._ledger.release(request.entry_id)
-            except LedgerError:
-                # never kill the dispatcher over journal bookkeeping;
-                # an unreleased reservation replays as spent, which is
-                # the fail-closed direction
-                if self._obs.enabled:
-                    self._obs.metrics.counter(
-                        "repro_serve_ledger_errors_total"
-                    ).inc()
-
-    def _settle_request(self, request: _PendingRequest) -> None:
-        """Commit a request whose budget is finally spent (delivered,
-        or failed after sampling may have begun).  Caller holds the
-        lock."""
-        self._reserved[request.user_id] -= 1
-        self._pending -= 1
-        if self._ledger is not None and request.entry_id is not None:
-            try:
-                self._ledger.commit(request.entry_id)
-            except LedgerError:
-                if self._obs.enabled:
-                    self._obs.metrics.counter(
-                        "repro_serve_ledger_errors_total"
-                    ).inc()

@@ -79,8 +79,9 @@ class CrashPoint:
 class CrashingLedger:
     """A :class:`BudgetLedger` proxy that dies on schedule.
 
-    Drop-in wherever a ledger is accepted (the serving front-end's
-    ``ledger=`` parameter): all reads pass through, and each write op
+    Drop-in wherever a ledger is accepted (a
+    :class:`~repro.serve.ShardBudgetBook`'s ``ledger=`` parameter, which
+    the pool's workers drive): all reads pass through, and each write op
     checks the scripted :class:`CrashPoint` list before and after
     delegating.  After a crash fires, every subsequent write also
     raises — a dead process does not come back — until the test builds

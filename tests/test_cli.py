@@ -65,6 +65,27 @@ class TestCommands:
         assert "budget split" in out
 
 
+    def test_serve_with_ledger_dir(self, capsys, tmp_path):
+        """One worker, journalled: every request is served and a second
+        run replays the first run's spend before serving."""
+        ledgers = tmp_path / "ledgers"
+        argv = [
+            "serve", "--dataset", "gowalla", "--fraction", "0.01",
+            "--epsilon", "0.5", "--lifetime-epsilon", "100", "--g", "2",
+            "--prior-granularity", "4", "--requests", "12",
+            "--clients", "3", "--workers", "1",
+            "--ledger-dir", str(ledgers),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "0 users, 0.0000 eps replayed" in out
+        assert "requests   : 12 admitted, 12 completed" in out
+        assert (ledgers / "shard-000.journal").exists()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "3 users, 6.0000 eps replayed, 0 corrupt lines" in out
+
+
 class TestBundleCommands:
     def test_bundle_roundtrip_via_cli(self, capsys, tmp_path):
         bundle_path = tmp_path / "b.npz"

@@ -11,17 +11,20 @@ Layers:
 * journal semantics — replay, idempotent ids, torn tails, mid-file
   corruption, compaction, sequence continuity;
 * crash points — :class:`~repro.testing.CrashingLedger` dies between
-  reserve and commit (and around every other op) while the journal
-  survives for a restarted server to replay;
-* deadlines and cancellation — an abandoned request refunds *before*
-  sampling, an expired one never samples;
+  reserve and commit (and around every other op) under the pool's own
+  batch protocol (``_run_pool_batch`` over a :class:`ShardBudgetBook`),
+  while the journal survives for a fresh book — a respawned worker —
+  to replay;
+* deadlines and cancellation — a request whose caller gave up is
+  dropped before it reaches a worker, so it never reserves or samples;
 * the circuit breaker — trips after consecutive chain failures,
   short-circuits while open, half-opens on a (fake) timer, closes on a
   good probe;
 * store recovery — corrupt or truncated bundles are quarantined and
   rebuilt, never served and never fatal;
-* process level (``chaos`` marker) — SIGKILL against a live serving
-  process, then replay + warm restart over the surviving journal.
+* process level (``chaos`` marker) — SIGKILL against a live
+  ``repro serve --ledger-dir`` process tree, then replay + warm restart
+  over the surviving journal.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import os
 import signal
 import subprocess
 import sys
-import textwrap
 import time
 
 import numpy as np
@@ -55,10 +57,17 @@ from repro.geo.point import Point
 from repro.grid.regular import RegularGrid
 from repro.lp import LinearProgramBuilder
 from repro.priors.base import GridPrior
-from repro.serve import SanitizationServer, ServerConfig
+from repro.obs import NOOP
+from repro.serve import (
+    MechanismArena,
+    ServerConfig,
+    ServingPool,
+    ShardBudgetBook,
+    shard_journal_path,
+)
+from repro.serve.pool import _run_pool_batch
 from repro.testing import (
     CrashError,
-    CrashFault,
     CrashingLedger,
     CrashPoint,
     FaultInjectingSolver,
@@ -80,24 +89,40 @@ def serve_prior(square20) -> GridPrior:
     return GridPrior.uniform(RegularGrid(square20, 4))
 
 
-def _server(
-    serve_prior,
-    ledger,
-    lifetime=4.0,
-    window=0.01,
-    retry_attempts=0,
-    retry_backoff=0.001,
-) -> SanitizationServer:
+@pytest.fixture(scope="module")
+def serve_arena(square20, tmp_path_factory) -> MechanismArena:
+    """A g=2 mechanism at epsilon ``EPS``, frozen once for the module."""
+    from repro.core.msm import MultiStepMechanism
+
+    prior = GridPrior.uniform(RegularGrid(square20, 4))
+    msm = MultiStepMechanism.build(EPS, 2, prior)
+    msm.precompute()
+    return MechanismArena.freeze(
+        msm.engine.compile(build=True),
+        tmp_path_factory.mktemp("crash") / "arena",
+    )
+
+
+def _pool(arena, ledger_dir, lifetime=4.0, window=0.01) -> ServingPool:
     config = ServerConfig(
         lifetime_epsilon=lifetime,
         per_report_epsilon=EPS,
         coalesce_window=window,
-        retry_attempts=retry_attempts,
-        retry_backoff=retry_backoff,
     )
-    return SanitizationServer.build(
-        serve_prior, config, granularity=2, seed=SEED, ledger=ledger
+    return ServingPool(
+        arena, config, workers=1, ledger_dir=ledger_dir, seed=SEED
     )
+
+
+def _batch(walk, book, items) -> list[tuple]:
+    """One worker batch, in-process: admit, sample, settle."""
+    return _run_pool_batch(
+        walk, book, np.random.default_rng(SEED), NOOP, items
+    )
+
+
+def _delivered(outcomes) -> int:
+    return sum(1 for outcome in outcomes if outcome[0] == "ok")
 
 
 def _journal_invariant(path, delivered: dict[str, int], lifetime: float):
@@ -196,6 +221,22 @@ class TestLedgerReplay:
         with BudgetLedger(path) as reopened:
             assert reopened.spent_for("u") == pytest.approx(1.0)
 
+    def test_append_after_torn_tail_replays(self, tmp_path):
+        """A ledger reopened over a torn tail must start its first entry
+        on a fresh line: glued onto the fragment, a delivered report's
+        reservation would be lost to the next replay (an undercount)."""
+        path = tmp_path / "journal"
+        with BudgetLedger(path) as ledger:
+            ledger.commit(ledger.reserve("u", 1.0))
+            ledger.reserve("u", 1.0)
+        truncate_tail(path, 7)
+        with BudgetLedger(path) as reopened:
+            reopened.commit(reopened.reserve("u", 1.0))
+            assert reopened.spent_for("u") == pytest.approx(2.0)
+        replay = replay_journal(path)
+        assert replay.corrupt_lines == 1  # only the torn fragment
+        assert replay.spent_for("u") == pytest.approx(2.0)
+
     def test_corrupt_release_never_refunds(self, tmp_path):
         """A flipped byte in a *release* line must not matter: releases
         only ever subtract, so losing one errs toward counting spend."""
@@ -277,11 +318,6 @@ class TestLedgerReplay:
 # ----------------------------------------------------------------------
 # crash points: die between reserve and commit (and everywhere else)
 # ----------------------------------------------------------------------
-@pytest.mark.filterwarnings(
-    # a CrashError on the dispatcher thread *is* the simulated death;
-    # nothing in production may catch it, so pytest sees it unhandled
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
 class TestCrashPoints:
     def test_crash_between_reserve_and_commit(self, tmp_path):
         """The canonical window: the reservation is durable, the commit
@@ -311,48 +347,48 @@ class TestCrashPoints:
         assert replay_journal(path).spent_for("u") == pytest.approx(EPS)
 
     def test_crash_after_reserve_in_server_fails_closed(
-        self, tmp_path, serve_prior
+        self, tmp_path, serve_arena
     ):
-        """A server process dying right after journalling an admission:
-        the caller gets an error, no report is delivered, and a
-        restarted server replays the epsilon as spent."""
+        """A worker dying right after journalling an admission: no
+        report is delivered, and a respawned worker's book replays the
+        epsilon as spent."""
         path = tmp_path / "journal"
         crashing = CrashingLedger(
             BudgetLedger(path),
             [CrashPoint("reserve", nth=2, when="after")],
         )
-        delivered = 0
-        server = _server(serve_prior, crashing)
-        with server:
-            server.report("u", Point(5.0, 5.0))
-            delivered += 1
-            with pytest.raises(CrashError):
-                server.submit("u", Point(6.0, 6.0))
+        walk = serve_arena.compiled()
+        book = ShardBudgetBook(4.0, EPS, ledger=crashing)
+        delivered = _delivered(_batch(walk, book, [("u", 5.0, 5.0)]))
+        assert delivered == 1
+        with pytest.raises(CrashError):
+            _batch(walk, book, [("u", 6.0, 6.0)])
         crashing.close()
 
         replay = _journal_invariant(path, {"u": delivered}, lifetime=4.0)
         assert replay.spent_for("u") == pytest.approx(2 * EPS)
 
-        # the restarted server pre-charges the session and settles the
+        # the respawned worker pre-charges the user and settles the
         # orphaned reservation as final spend
-        restarted = _server(serve_prior, BudgetLedger(path))
-        assert restarted.stats.replayed_users == 1
-        assert restarted.stats.replayed_epsilon == pytest.approx(2 * EPS)
-        session = restarted.session("u")
-        assert session.spent == pytest.approx(2 * EPS)
-        assert restarted.ledger.open_reservations() == {}
-        with restarted:
-            restarted.report("u", Point(5.0, 5.0))  # 2 of 4 remain
-            restarted.report("u", Point(6.0, 6.0))
-            with pytest.raises(BudgetError):
-                restarted.report("u", Point(7.0, 7.0))
-        restarted.ledger.close()
+        ledger = BudgetLedger(path)
+        restarted = ShardBudgetBook(4.0, EPS, ledger=ledger)
+        assert restarted.replayed_users == 1
+        assert restarted.replayed_epsilon == pytest.approx(2 * EPS)
+        assert restarted.spent_for("u") == pytest.approx(2 * EPS)
+        assert ledger.open_reservations() == {}
+        outcomes = _batch(
+            walk, restarted, [("u", 5.0, 5.0), ("u", 6.0, 6.0),
+                              ("u", 7.0, 7.0)]
+        )  # 2 of 4 remain
+        assert [o[0] for o in outcomes] == ["ok", "ok", "budget"]
+        ledger.close()
 
     def test_every_crash_point_upholds_invariant(
-        self, tmp_path, serve_prior
+        self, tmp_path, serve_arena
     ):
         """Sweep the crash schedule across the protocol: wherever the
-        process dies, replayed spend >= delivered reports."""
+        worker dies, replayed spend >= delivered reports, both in the
+        journal and in the book a respawned worker builds from it."""
         points = [
             CrashPoint("reserve", nth=1, when="before"),
             CrashPoint("reserve", nth=1, when="after"),
@@ -360,176 +396,135 @@ class TestCrashPoints:
             CrashPoint("commit", nth=1, when="before"),
             CrashPoint("commit", nth=2, when="after"),
         ]
+        walk = serve_arena.compiled()
         for i, point in enumerate(points):
             path = tmp_path / f"journal-{i}"
             crashing = CrashingLedger(BudgetLedger(path), [point])
+            book = ShardBudgetBook(10.0, EPS, ledger=crashing)
             delivered = 0
-            server = _server(serve_prior, crashing, lifetime=10.0)
             try:
-                with server:
-                    for _ in range(4):
-                        server.report("u", Point(5.0, 5.0), timeout=30)
-                        delivered += 1
-            except (CrashError, ServeError):
-                pass
+                for _ in range(4):
+                    delivered += _delivered(
+                        _batch(walk, book, [("u", 5.0, 5.0)])
+                    )
+            except CrashError:
+                pass  # the worker died; its batch reply never left
             finally:
                 crashing.close()
-            # commits run on the dispatcher thread; a crash there fails
-            # the batch *after* delivery decisions, so re-read delivered
-            # conservatively from what the test observed
+            assert crashing.crashed_at == point
             _journal_invariant(path, {"u": delivered}, lifetime=10.0)
+            with BudgetLedger(path) as ledger:
+                respawned = ShardBudgetBook(10.0, EPS, ledger=ledger)
+                assert respawned.spent_for("u") >= delivered * EPS - 1e-9
+                assert respawned.spent_for("u") <= 10.0 + 1e-9
 
     def test_mid_batch_solver_crash_charges_budget(
-        self, tmp_path, serve_prior
+        self, tmp_path, serve_arena
     ):
-        """A crash tearing through the engine mid-batch: sampling may
+        """A crash tearing through the walk mid-batch: sampling may
         already have begun, so every request in the batch is *charged*
         and its reservation committed — failed requests cost utility,
-        never privacy.
+        never privacy."""
 
-        The fault is injected through a *bare* solver, not the
-        resilience chain: :class:`ResilientSolver` is fail-closed
-        against any substrate exception and would absorb the crash
-        into a degraded (but delivered) walk.  Raw, the exception
-        escapes ``sanitize_batch`` and exercises the server's
-        batch-failure path."""
-        from repro.core.msm import MultiStepMechanism
+        class _CrashingWalk:
+            def walk_arrays(self, coords, rng):
+                raise CrashError("walk died mid-batch")
 
-        class _BareCrashSolver:
-            """LPSolver-protocol shim with no resilience chain."""
-
-            def __init__(self):
-                self._inner = FaultInjectingSolver([CrashFault()])
-
-            def solve(self, problem, time_limit=None):
-                return self._inner(problem, time_limit=time_limit)
-
-        msm = MultiStepMechanism.build(
-            1.0, 2, serve_prior, solver=_BareCrashSolver(), degrade=True
-        )
         path = tmp_path / "journal"
-        config = ServerConfig(
-            lifetime_epsilon=4.0,
-            per_report_epsilon=EPS,
-            coalesce_window=0.2,
+        ledger = BudgetLedger(path)
+        book = ShardBudgetBook(4.0, EPS, ledger=ledger)
+        outcomes = _batch(
+            _CrashingWalk(), book, [("u", 5.0, 5.0), ("u", 6.0, 5.0)]
         )
-        server = SanitizationServer(
-            msm, config, ledger=BudgetLedger(path)
-        )
-        with server:
-            pending = [
-                server.submit("u", Point(5.0 + i, 5.0)) for i in range(2)
-            ]
-            for request in pending:
-                assert request.done.wait(30)
-                assert isinstance(request.error, CrashError)
-        assert server.stats.failed == 2
-        assert server.stats.completed == 0
+        assert [o[0] for o in outcomes] == ["failed", "failed"]
+        assert "CrashError" in outcomes[0][1]
         # fail closed: the epsilon is gone on both sides of the ledger
-        assert server.session("u").spent == pytest.approx(2 * EPS)
-        server.ledger.close()
+        assert book.spent_for("u") == pytest.approx(2 * EPS)
+        ledger.close()
         replay = replay_journal(path)
         assert replay.spent_for("u") == pytest.approx(2 * EPS)
         assert replay.open_reservations == {}
+        with BudgetLedger(path) as reopened:
+            respawned = ShardBudgetBook(4.0, EPS, ledger=reopened)
+            assert respawned.spent_for("u") == pytest.approx(2 * EPS)
 
-    def test_restart_continuity_without_crash(self, tmp_path, serve_prior):
+    def test_restart_continuity_without_crash(self, tmp_path, serve_arena):
         """Plain restart: spend carries over and admission continues
         exactly where it left off."""
-        path = tmp_path / "journal"
-        server = _server(serve_prior, BudgetLedger(path))
-        with server:
-            server.report("u", Point(5.0, 5.0))
-            server.report("u", Point(6.0, 6.0))
-        server.ledger.close()
+        ledgers = tmp_path / "ledgers"
+        with _pool(serve_arena, ledgers) as pool:
+            pool.report("u", Point(5.0, 5.0))
+            pool.report("u", Point(6.0, 6.0))
 
-        again = _server(serve_prior, BudgetLedger(path))
-        with again:
-            assert again.session("u").spent == pytest.approx(2 * EPS)
+        with _pool(serve_arena, ledgers) as again:
+            assert again.stats().replayed_epsilon == pytest.approx(2 * EPS)
             again.report("u", Point(5.0, 5.0))
-            again.report("u", Point(6.0, 6.0))
+            report = again.report("u", Point(6.0, 6.0))
+            assert report.epsilon_remaining == pytest.approx(0.0)
             with pytest.raises(BudgetError):
                 again.report("u", Point(7.0, 7.0))
-        again.ledger.close()
-        _journal_invariant(path, {"u": 4}, lifetime=4.0)
+        _journal_invariant(
+            shard_journal_path(ledgers, 0), {"u": 4}, lifetime=4.0
+        )
 
-    def test_overdrawn_journal_fails_closed(self, tmp_path, serve_prior):
+    def test_overdrawn_journal_fails_closed(self, tmp_path, serve_arena):
         """A journal showing more spend than the lifetime (e.g. the
-        budget was lowered between runs) exhausts the session rather
-        than resetting it."""
-        path = tmp_path / "journal"
-        with BudgetLedger(path) as ledger:
+        budget was lowered between runs) exhausts the user rather than
+        resetting the account."""
+        ledgers = tmp_path / "ledgers"
+        ledgers.mkdir()
+        with BudgetLedger(shard_journal_path(ledgers, 0)) as ledger:
             for _ in range(6):
                 ledger.commit(ledger.reserve("u", EPS))
-        server = _server(serve_prior, BudgetLedger(path), lifetime=4.0)
-        with server:
-            assert server.session("u").remaining <= 0
+        with _pool(serve_arena, ledgers, lifetime=4.0) as pool:
             with pytest.raises(BudgetError):
-                server.report("u", Point(5.0, 5.0))
-        server.ledger.close()
+                pool.report("u", Point(5.0, 5.0))
+        assert pool.ledger_replay().spent_for("u") == pytest.approx(6 * EPS)
 
 
 # ----------------------------------------------------------------------
-# deadlines, abandonment, retry
+# deadlines and abandonment
 # ----------------------------------------------------------------------
 class TestDeadlines:
     def test_timeout_abandons_and_refunds_before_sampling(
-        self, tmp_path, serve_prior
+        self, tmp_path, serve_arena
     ):
         """A caller timing out while its request is still coalescing:
-        the dispatcher refuses to sample it and releases the
-        reservation — the user keeps the epsilon."""
-        path = tmp_path / "journal"
-        server = _server(
-            serve_prior, BudgetLedger(path), window=0.6
-        )
-        with server:
+        the feeder drops it before it reaches the worker, so nothing is
+        reserved — the user keeps the epsilon."""
+        ledgers = tmp_path / "ledgers"
+        pool = _pool(serve_arena, ledgers, window=0.6)
+        with pool:
             with pytest.raises(ServeError, match="timed out") as err:
-                server.report("u", Point(5.0, 5.0), timeout=0.05)
+                pool.report("u", Point(5.0, 5.0), timeout=0.05)
             assert err.value.reason == "timeout"
             deadline = time.monotonic() + 5.0
             while (
-                server.stats.abandoned == 0
+                pool.stats().abandoned == 0
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
-        assert server.stats.abandoned == 1
-        assert server.stats.completed == 0
-        assert server.session("u").spent == 0.0
-        server.ledger.close()
-        # the release made it to the journal: nothing replays as spend
-        assert replay_journal(path).spent_for("u") == 0.0
+            # the user still holds the full lifetime
+            report = pool.report("u", Point(5.0, 5.0))
+            assert report.epsilon_remaining == pytest.approx(3 * EPS)
+        stats = pool.stats()
+        assert stats.abandoned == 1
+        assert stats.completed == 1
+        assert pool.ledger_replay().spent_for("u") == pytest.approx(EPS)
 
-    def test_expired_deadline_never_samples(self, serve_prior):
-        server = _server(serve_prior, ledger=None, window=0.01)
-        with server:
-            request = server.submit(
+    def test_expired_deadline_never_samples(self, tmp_path, serve_arena):
+        ledgers = tmp_path / "ledgers"
+        pool = _pool(serve_arena, ledgers, window=0.01)
+        with pool:
+            request = pool.submit(
                 "u", Point(5.0, 5.0), deadline=time.monotonic() - 1.0
             )
-            assert request.done.wait(30)
-            assert isinstance(request.error, ServeError)
-            assert request.error.reason == "abandoned"
-        assert server.stats.abandoned == 1
-        assert server.session("u").spent == 0.0
-
-    def test_overload_retries_with_backoff_then_gives_up(
-        self, serve_prior
-    ):
-        config = ServerConfig(
-            lifetime_epsilon=4.0,
-            per_report_epsilon=EPS,
-            max_pending=0,  # permanently overloaded
-            retry_attempts=2,
-            retry_backoff=0.001,
-        )
-        server = SanitizationServer.build(
-            serve_prior, config, granularity=2, seed=SEED
-        )
-        with server:
-            with pytest.raises(ServeError, match="shedding") as err:
-                server.report("u", Point(5.0, 5.0))
-            assert err.value.reason == "overload"
-        assert server.stats.retries == 2
-        assert server.stats.rejected_overload == 3  # initial + 2 retries
+            with pytest.raises(ServeError) as err:
+                request.future.result(timeout=30)
+            assert err.value.reason == "abandoned"
+        assert pool.stats().abandoned == 1
+        assert pool.stats().completed == 0
+        assert pool.ledger_replay().spent_for("u") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -733,99 +728,27 @@ class TestStoreRecovery:
 
 
 # ----------------------------------------------------------------------
-# distribution equivalence with the ledger in the hot path
+# process-level chaos: SIGKILL against a live `repro serve`
 # ----------------------------------------------------------------------
-@pytest.mark.statistical
-class TestLedgerDistributionEquivalence:
-    def test_server_with_ledger_matches_direct_chi_square(
-        self, tmp_path, serve_prior
-    ):
-        """The two-phase ledger protocol must not perturb the served
-        distribution: chi-square server-vs-direct, ledger enabled
-        (``sync=False`` — durability is not under test here)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        from scipy import stats
-
-        n = 1500
-        x = Point(3.0, 3.0)
-        ledger = BudgetLedger(tmp_path / "journal", sync=False)
-        config = ServerConfig(
-            lifetime_epsilon=float(n + 1),
-            per_report_epsilon=EPS,
-            coalesce_window=0.05,
-        )
-        server = SanitizationServer.build(
-            serve_prior, config, granularity=2, seed=SEED, ledger=ledger
-        )
-        with server:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                reports = list(
-                    pool.map(
-                        lambda _: server.report("u", x, timeout=120),
-                        range(n),
-                    )
-                )
-        assert server.ledger.spent_for("u") == pytest.approx(n * EPS)
-
-        msm = server.mechanism
-        leaf_grid = msm.index.level_grid(msm.height)
-        served = np.zeros(leaf_grid.n_cells)
-        for r in reports:
-            served[leaf_grid.locate(r.reported).index] += 1
-        direct_walks = msm.sanitize_batch(
-            [x] * n, np.random.default_rng(SEED + 1)
-        )
-        direct = np.zeros(leaf_grid.n_cells)
-        for w in direct_walks:
-            direct[leaf_grid.locate(w.point).index] += 1
-
-        keep = (served + direct) > 0
-        table = np.vstack([served[keep], direct[keep]])
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value > 0.01, (
-            f"ledger-enabled server diverges from direct (p={p_value:.4f})"
-        )
-
-
-# ----------------------------------------------------------------------
-# process-level chaos: SIGKILL against a live server
-# ----------------------------------------------------------------------
-_CHILD = textwrap.dedent("""
-    import sys
-    from repro.geo import BoundingBox, Point
-    from repro.grid import RegularGrid
-    from repro.priors import GridPrior
-    from repro.serve import SanitizationServer, ServerConfig
-
-    journal = sys.argv[1]
-    square = BoundingBox.square(Point(0.0, 0.0), 20.0)
-    prior = GridPrior.uniform(RegularGrid(square, 4))
-    config = ServerConfig(
-        lifetime_epsilon=1000.0,
-        per_report_epsilon=1.0,
-        coalesce_window=0.001,
-    )
-    server = SanitizationServer.build(
-        prior, config, granularity=2, seed=7, ledger=journal
-    )
-    print("replayed", server.stats.replayed_epsilon, flush=True)
-    with server:
-        for i in range(10_000):
-            server.report("u", Point(5.0, 5.0))
-            print("delivered", i + 1, flush=True)
-""")
+def _serve_cmd(ledgers, requests: int, seed: int) -> list[str]:
+    return [
+        sys.executable, "-m", "repro.cli", "serve",
+        "--epsilon", str(EPS), "--lifetime-epsilon", "1000",
+        "--fraction", "0.01", "--g", "2", "--prior-granularity", "4",
+        "--requests", str(requests), "--clients", "2", "--workers", "1",
+        "--ledger-dir", str(ledgers), "--seed", str(seed),
+    ]
 
 
 @pytest.mark.chaos
 class TestSigkill:
     def test_sigkill_mid_serve_replays_spend(self, tmp_path):
-        """Kill -9 a serving process mid-stream; the journal left on
-        disk must replay at least every delivered report, and a warm
-        restart must continue from that account."""
-        journal = tmp_path / "journal"
-        script = tmp_path / "child.py"
-        script.write_text(_CHILD)
+        """Kill -9 a serving process tree (frontend and worker) once
+        reports are committing; the journal left on disk must replay
+        within the lifetime, and a warm restart must continue from that
+        account, settling every orphaned reservation."""
+        ledgers = tmp_path / "ledgers"
+        journal = shard_journal_path(ledgers, 0)
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src",
@@ -833,54 +756,52 @@ class TestSigkill:
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(journal)],
-            stdout=subprocess.PIPE,
+            _serve_cmd(ledgers, requests=100_000, seed=7),
+            stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
+            start_new_session=True,
         )
-        delivered = 0
         try:
-            assert proc.stdout is not None
-            for line in proc.stdout:
-                if line.startswith("delivered"):
-                    delivered = int(line.split()[1])
-                if delivered >= 3:
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline and proc.poll() is None:
+                if journal.exists() and journal.read_bytes().count(
+                    b'"commit"'
+                ) >= 20:
                     break
-            os.kill(proc.pid, signal.SIGKILL)
+                time.sleep(0.05)
+            assert proc.poll() is None, "serve exited before the kill"
+            os.killpg(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
-            if proc.stdout is not None:
-                proc.stdout.close()
-        assert delivered >= 3
 
-        replay = _journal_invariant(
-            journal, {"u": delivered}, lifetime=1000.0
-        )
-        assert replay.spent_for("u") >= delivered * EPS
+        replay = _journal_invariant(journal, {}, lifetime=1000.0)
+        spent_before = sum(replay.spent.values())
+        assert spent_before >= 20 * EPS
 
-        # warm restart over the same journal in-process: the account
-        # carries, orphaned reservations settle, serving continues
-        spent_before = replay.spent_for("u")
-        from repro.geo import BoundingBox
-
-        square_prior = GridPrior.uniform(
-            RegularGrid(BoundingBox.square(Point(0.0, 0.0), 20.0), 4)
+        # warm restart over the same journal: the account carries,
+        # orphaned reservations settle, serving continues
+        restart = subprocess.run(
+            _serve_cmd(ledgers, requests=10, seed=8),
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=300,
         )
-        config = ServerConfig(
-            lifetime_epsilon=1000.0,
-            per_report_epsilon=EPS,
-            coalesce_window=0.001,
+        assert restart.returncode == 0, restart.stderr
+        line = next(
+            ln for ln in restart.stdout.splitlines()
+            if ln.startswith("ledger ")
         )
-        server = SanitizationServer.build(
-            square_prior, config, granularity=2, seed=7, ledger=journal
+        assert f"{spent_before:.4f} eps replayed" in line
+        completed = int(
+            next(
+                ln for ln in restart.stdout.splitlines()
+                if ln.startswith("requests ")
+            ).split(",")[1].split()[0]
         )
-        with server:
-            assert server.stats.replayed_epsilon == pytest.approx(
-                spent_before
-            )
-            assert server.ledger.open_reservations() == {}
-            server.report("u", Point(5.0, 5.0))
-        server.ledger.close()
         final = replay_journal(journal)
-        assert final.spent_for("u") == pytest.approx(spent_before + EPS)
+        assert final.open_reservations == {}
+        assert sum(final.spent.values()) == pytest.approx(
+            spent_before + completed * EPS
+        )

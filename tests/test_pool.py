@@ -11,16 +11,23 @@ Four contracts, mirroring the serve-stack suite one layer up:
   session, and the pool-wide stats fold from per-shard stats through
   the associative merge;
 * restart — a pool reopened over the same per-shard journals replays
-  every shard's spend before admitting a request (fail closed);
+  every shard's spend before admitting a request (fail closed), every
+  restarted worker draws a fresh random stream, and a pool with no
+  journals refuses to restart at all;
 * chaos (``chaos`` marker) — SIGKILL of one worker mid-batch is
   detected, the shard respawns with its journal replayed, and no other
-  shard's sessions are disturbed.
+  shard's sessions are disturbed; without a journal the shard is not
+  respawned, so no user regains a spent budget; and workers whose
+  frontend is SIGKILLed exit instead of lingering as orphans.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -330,6 +337,42 @@ class TestPoolRestart:
                 with pytest.raises(BudgetError):
                     pool.report(user, Point(5.0, 5.0))
 
+    def test_restart_draws_fresh_randomness(self, frozen_arena, tmp_path):
+        """A restarted worker must not replay its predecessor's random
+        stream: the same users reporting the same locations after a
+        restart get independent draws, not a copy of the first run's
+        noise (which would correlate reports the accountant charges as
+        independent)."""
+        pool = _pool(
+            frozen_arena,
+            workers=1,
+            ledger_dir=tmp_path / "ledgers",
+            config=_config(lifetime=100.0),
+        )
+        runs = []
+        for _ in range(2):
+            with pool:
+                runs.append(
+                    [
+                        pool.report(f"user-{i}", Point(9.0, 9.0)).reported
+                        for i in range(32)
+                    ]
+                )
+        assert runs[0] != runs[1]
+
+    def test_restart_without_ledger_refuses(self, frozen_arena):
+        """Without journals the stopped workers took every user's spend
+        with them; a restart would hand out fresh lifetimes, so it is
+        refused (fail closed)."""
+        pool = _pool(frozen_arena, workers=1)
+        pool.start()
+        pool.report("u", Point(3.0, 3.0))
+        pool.stop()
+        with pytest.raises(ServeError, match="cannot restart") as err:
+            pool.start()
+        assert err.value.reason == "stopped"
+        assert not pool.running
+
     def test_replay_merge_covers_all_shards(self, frozen_arena, tmp_path):
         """``ledger_replay`` (the offline merge over shard journals)
         agrees with what the pool actually charged."""
@@ -410,3 +453,95 @@ class TestPoolChaos:
             assert pool.report(
                 bystander, Point(7.0, 7.0)
             ).epsilon_spent == 1.5
+
+    def test_sigkill_without_ledger_fails_closed(self, frozen_arena):
+        """lifetime 3.0 at 1.5 per report affords one user 2 reports.
+        Without a journal a respawned worker would start with empty
+        accountants, so after every SIGKILL the user could spend a fresh
+        lifetime.  The shard is not respawned instead: its requests fail
+        with ``worker-crashed`` and the user gets 2 reports in total."""
+        config = _config(lifetime=3.0, per_report=1.5)
+        delivered = 0
+        with _pool(frozen_arena, workers=1, config=config) as pool:
+            for _ in range(3):
+                for _ in range(2):
+                    try:
+                        pool.report("u", Point(3.0, 3.0))
+                        delivered += 1
+                    except (BudgetError, ServeError):
+                        pass
+                pid = pool.worker_pids()[0]
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+            assert delivered == 2
+            assert pool.worker_pids() == [None]
+            with pytest.raises(ServeError) as err:
+                pool.report("u", Point(3.0, 3.0))
+            assert err.value.reason == "worker-crashed"
+            stats = pool.stats()
+            assert stats.respawns == 0
+            assert stats.failed >= 1
+
+    def test_frontend_sigkill_leaves_no_orphan_workers(
+        self, frozen_arena, tmp_path
+    ):
+        """SIGKILL the frontend process alone: its workers must read EOF
+        on their request pipes and exit, not block on ``recv`` forever
+        holding journals and inherited file descriptors."""
+        script = tmp_path / "frontend.py"
+        script.write_text(_FRONTEND)
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(frozen_arena.directory)],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2 and all(_running(p) for p in pids)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 30.0
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    "workers outlived their frontend"
+                )
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+
+
+_FRONTEND = textwrap.dedent("""
+    import sys
+    import time
+
+    from repro.serve import ServerConfig, ServingPool
+
+    pool = ServingPool(sys.argv[1], ServerConfig(10.0, 1.5), workers=2)
+    pool.start()
+    print(*pool.worker_pids(), flush=True)
+    time.sleep(600)
+""")
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")

@@ -1,5 +1,5 @@
 """Concurrency suite for the serving stack: bounded cache, persistent
-store, and the coalescing front-end.
+store, and the serving pool's front half.
 
 Three layers, three contracts:
 
@@ -11,12 +11,13 @@ Three layers, three contracts:
   warm-starts with **zero** LP solves, configuration drift lands on a
   different fingerprint, and a stale file under the right name is
   rejected rather than served;
-* :class:`SanitizationServer` — concurrent users get exactly the
+* :class:`ServingPool` admission — concurrent users get exactly the
   reports their lifetime budgets afford (reservations close the racing
-  overdraft), requests coalesce into micro-batches, overload sheds, and
-  a chi-square check (under the ``statistical`` marker) confirms the
-  batched server path is distribution-identical to direct
-  ``sanitize_batch``.
+  overdraft), requests coalesce into micro-batches, overload sheds,
+  stop/submit races never strand a request, an arena spending more
+  than the per-report charge is refused, and a chi-square check (under
+  the ``statistical`` marker, ledger on and off) confirms the pool is
+  distribution-identical to direct ``sanitize_batch``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.regular import RegularGrid
 from repro.mechanisms.matrix import MechanismMatrix
 from repro.priors.base import GridPrior
-from repro.serve import SanitizationServer, ServerConfig
+from repro.serve import MechanismArena, ServerConfig, ServingPool
 
 SEED = 20190326
 
@@ -351,43 +352,65 @@ class TestMechanismStore:
 
 
 # ----------------------------------------------------------------------
-# serving front-end
+# serving pool: admission, coalescing, shutdown races
 # ----------------------------------------------------------------------
 @pytest.fixture
 def serve_prior(square20) -> GridPrior:
     return GridPrior.uniform(RegularGrid(square20, 4))
 
 
-def _server(
-    serve_prior,
+@pytest.fixture(scope="module")
+def serve_arena(square20, tmp_path_factory) -> MechanismArena:
+    """A g=2 mechanism at epsilon 1.0, frozen once for the module."""
+    prior = GridPrior.uniform(RegularGrid(square20, 4))
+    msm = MultiStepMechanism.build(1.0, 2, prior)
+    msm.precompute()
+    return MechanismArena.freeze(
+        msm.engine.compile(build=True),
+        tmp_path_factory.mktemp("serve") / "arena",
+    )
+
+
+def _pool(
+    arena,
     lifetime=4.0,
-    per_report=1.0,
     window=0.01,
-    max_batch=256,
     max_pending=10_000,
-    seed=SEED,
-) -> SanitizationServer:
+    workers=1,
+    ledger_dir=None,
+) -> ServingPool:
     config = ServerConfig(
         lifetime_epsilon=lifetime,
-        per_report_epsilon=per_report,
+        per_report_epsilon=1.0,
         coalesce_window=window,
-        max_batch=max_batch,
         max_pending=max_pending,
     )
-    return SanitizationServer.build(
-        serve_prior, config, granularity=2, seed=seed
+    return ServingPool(
+        arena, config, workers=workers, ledger_dir=ledger_dir, seed=SEED
     )
+
+
+def _outcome(request, timeout=10.0):
+    """A submitted request's report, or the exception it failed with."""
+    try:
+        return request.future.result(timeout=timeout)
+    except (BudgetError, ServeError) as exc:
+        return exc
 
 
 class TestServerAdmission:
-    def test_concurrent_users_get_exact_budget(self, serve_prior):
-        """8 users x 6 racing requests against a 4-report lifetime:
-        exactly 4 succeed per user, the rest fail as BudgetError."""
+    def test_concurrent_users_get_exact_budget(self, serve_arena, tmp_path):
+        """8 users x 6 racing requests against a 4-report lifetime on
+        2 shards: exactly 4 succeed per user, the rest fail as
+        BudgetError, and the journals charge exactly what was
+        delivered."""
         completed: dict[str, int] = {}
         refused: dict[str, int] = {}
         lock = threading.Lock()
 
-        with _server(serve_prior) as server:
+        with _pool(
+            serve_arena, workers=2, ledger_dir=tmp_path / "ledgers"
+        ) as pool:
             def client(uid):
                 rng = np.random.default_rng(abs(hash(uid)) % 2**32)
                 for _ in range(6):
@@ -395,7 +418,7 @@ class TestServerAdmission:
                         float(rng.uniform(0, 20)), float(rng.uniform(0, 20))
                     )
                     try:
-                        server.report(uid, x)
+                        pool.report(uid, x)
                         with lock:
                             completed[uid] = completed.get(uid, 0) + 1
                     except BudgetError:
@@ -410,70 +433,63 @@ class TestServerAdmission:
                 t.start()
             for t in threads:
                 t.join()
+            replay = pool.ledger_replay()
 
         assert all(completed[f"u{i}"] == 4 for i in range(8))
         assert all(refused[f"u{i}"] == 2 for i in range(8))
-        for session in server.sessions().values():
-            assert session.reports_remaining == 0
-            assert len(session.history) == 4
+        stats = pool.stats()
+        assert (stats.completed, stats.rejected_budget) == (32, 16)
+        assert stats.sessions == 8
+        for i in range(8):
+            assert replay.spent_for(f"u{i}") == pytest.approx(4.0)
 
-    def test_requests_coalesce_into_one_batch(self, serve_prior):
+    def test_requests_coalesce_into_one_batch(self, serve_arena):
         """Submissions landing inside the window walk as one batch."""
-        server = _server(serve_prior, lifetime=100.0, window=0.25)
-        with server:
+        pool = _pool(serve_arena, lifetime=100.0, window=0.25)
+        with pool:
             pending = [
-                server.submit("u", Point(5.0 + i * 0.1, 5.0))
+                pool.submit("u", Point(5.0 + i * 0.1, 5.0))
                 for i in range(10)
             ]
             for request in pending:
-                assert request.done.wait(30)
-                assert request.error is None
-        assert server.stats.batches == 1
-        assert server.stats.coalesced == 9
-        assert server.stats.max_batch_points == 10
+                request.future.result(timeout=30)
+        stats = pool.stats()
+        assert stats.batches == 1
+        assert stats.coalesced == 9
+        assert stats.max_batch_points == 10
 
-    def test_overload_sheds(self, serve_prior):
-        server = _server(serve_prior, max_pending=0)
-        with server:
-            with pytest.raises(ServeError, match="shedding"):
-                server.submit("u", Point(5.0, 5.0))
-        assert server.stats.rejected_overload == 1
+    def test_overload_sheds(self, serve_arena):
+        pool = _pool(serve_arena, max_pending=0)
+        with pool:
+            with pytest.raises(ServeError, match="shedding") as err:
+                pool.submit("u", Point(5.0, 5.0))
+            assert err.value.reason == "overload"
+        assert pool.stats().rejected_overload == 1
 
-    def test_out_of_domain_rejected(self, serve_prior):
-        with _server(serve_prior) as server:
+    def test_out_of_domain_rejected(self, serve_arena):
+        with _pool(serve_arena) as pool:
             with pytest.raises(ServeError, match="outside the served"):
-                server.report("u", Point(25.0, 5.0))
-        assert server.stats.rejected_domain == 1
+                pool.report("u", Point(25.0, 5.0))
+        assert pool.stats().rejected_domain == 1
 
-    def test_stopped_server_refuses(self, serve_prior):
-        server = _server(serve_prior)
+    def test_stopped_server_refuses(self, serve_arena):
+        pool = _pool(serve_arena)
         with pytest.raises(ServeError, match="not running"):
-            server.report("u", Point(5.0, 5.0))
-        server.start()
-        server.report("u", Point(5.0, 5.0))
-        server.stop()
+            pool.report("u", Point(5.0, 5.0))
+        pool.start()
+        pool.report("u", Point(5.0, 5.0))
+        pool.stop()
         with pytest.raises(ServeError, match="not running"):
-            server.report("u", Point(5.0, 5.0))
+            pool.report("u", Point(5.0, 5.0))
 
-    def test_server_reports_record_into_sessions(self, serve_prior):
-        with _server(serve_prior) as server:
-            r1 = server.report("u", Point(5.0, 5.0))
-            r2 = server.report("u", Point(6.0, 6.0))
-        assert (r1.sequence, r2.sequence) == (0, 1)
-        session = server.sessions()["u"]
-        assert session.spent == pytest.approx(2.0)
-        assert [r.reported for r in session.history] == [
-            r1.reported, r2.reported,
-        ]
-
-    def test_concurrent_stop_vs_submit_never_hangs(self, serve_prior):
+    def test_concurrent_stop_vs_submit_never_hangs(self, serve_arena):
         """Threads hammering submit() while stop() lands in the middle:
         every accepted request must resolve — completed, or failed
-        closed with a ServeError — and none may hang on ``done.wait``.
+        closed with a ServeError — and none may hang on its future.
 
         Guards the enqueue-under-lock invariant: a request slipping
-        into the queue after stop()'s drain would wait forever."""
-        server = _server(serve_prior, lifetime=1000.0, window=0.001)
+        into a shard inbox after its stop sentinel would wait forever."""
+        pool = _pool(serve_arena, lifetime=1000.0, window=0.001, workers=2)
         accepted: list = []
         lock = threading.Lock()
         start_gate = threading.Event()
@@ -483,7 +499,7 @@ class TestServerAdmission:
             start_gate.wait()
             for i in range(100):
                 try:
-                    r = server.submit(
+                    r = pool.submit(
                         f"u{seed}",
                         Point(float(rng.uniform(0, 20)),
                               float(rng.uniform(0, 20))),
@@ -493,7 +509,7 @@ class TestServerAdmission:
                 with lock:
                     accepted.append(r)
 
-        server.start()
+        pool.start()
         threads = [
             threading.Thread(target=submitter, args=(s,))
             for s in range(4)
@@ -502,124 +518,99 @@ class TestServerAdmission:
             t.start()
         start_gate.set()
         time.sleep(0.005)  # let submissions overlap the stop
-        server.stop()
+        pool.stop()
         for t in threads:
             t.join()
 
         assert accepted, "race never materialised"
         for request in accepted:
-            assert request.done.wait(10), "request hung after stop()"
-            assert (request.report is not None) ^ (
-                request.error is not None
-            )
-            if request.error is not None:
-                assert isinstance(request.error, ServeError)
+            outcome = _outcome(request)
+            if isinstance(outcome, Exception):
+                assert isinstance(outcome, ServeError)
+                assert outcome.reason == "stopped"
 
-    def test_stop_during_coalesce_window_fails_pending(self, serve_prior):
+    def test_stop_during_coalesce_window_fails_pending(self, serve_arena):
         """stop() landing while requests sit in the coalescing window:
-        they fail closed (or complete if already gathered), promptly."""
-        server = _server(serve_prior, lifetime=100.0, window=5.0)
-        server.start()
+        they resolve promptly — delivered, or failed closed."""
+        pool = _pool(serve_arena, lifetime=100.0, window=5.0)
+        pool.start()
         pending = [
-            server.submit("u", Point(5.0 + i * 0.1, 5.0))
-            for i in range(5)
+            pool.submit("u", Point(5.0 + i * 0.1, 5.0)) for i in range(5)
         ]
-        server.stop()  # well inside the 5 s window
+        began = time.monotonic()
+        pool.stop()  # well inside the 5 s window
+        assert time.monotonic() - began < 4.0
         for request in pending:
-            assert request.done.wait(10)
-            if request.error is not None:
-                assert isinstance(request.error, ServeError)
+            outcome = _outcome(request)
+            if isinstance(outcome, Exception):
+                assert isinstance(outcome, ServeError)
 
-    def test_restart_after_stop_serves_again(self, serve_prior):
-        """A stop immediately after submit may leave the dispatcher
-        exiting via the batch path; the consumed sentinel must never
-        linger to kill the *next* dispatcher."""
-        server = _server(serve_prior, lifetime=100.0)
+    def test_restart_after_stop_serves_again(self, serve_prior, tmp_path):
+        """A ``build()`` pool owns its arena directory; stop() must not
+        delete it, so the pool restarts — and with a ledger the spend
+        carries across every restart."""
+        config = ServerConfig(
+            lifetime_epsilon=10.0,
+            per_report_epsilon=1.0,
+            coalesce_window=0.01,
+        )
+        pool = ServingPool.build(
+            serve_prior,
+            config,
+            workers=1,
+            granularity=2,
+            seed=SEED,
+            ledger_dir=tmp_path / "ledgers",
+        )
         for _ in range(3):
-            server.start()
-            server.submit("u", Point(5.0, 5.0))
-            server.stop()
-        server.start()
-        report = server.report("u", Point(5.0, 5.0), timeout=30)
-        server.stop()
-        assert report is not None
+            pool.start()
+            pool.submit("u", Point(5.0, 5.0)).future.result(timeout=30)
+            pool.stop()
+        pool.start()
+        report = pool.report("u", Point(5.0, 5.0), timeout=30)
+        pool.stop()
+        assert report.epsilon_remaining == pytest.approx(6.0)
+        assert pool.ledger_replay().spent_for("u") == pytest.approx(4.0)
 
-    def test_shared_mechanism_epsilon_must_fit(self, serve_prior):
-        """A session must refuse a shared mechanism spending more than
-        its per-report budget."""
+    def test_shared_mechanism_epsilon_must_fit(
+        self, serve_arena, serve_prior
+    ):
+        """Neither a session nor the pool may charge less than the
+        shared mechanism spends: an epsilon-1.0 walk cannot be served
+        at a 0.5 per-report charge."""
         from repro.core.session import SanitizationSession
 
-        server = _server(serve_prior, per_report=1.0, lifetime=10.0)
+        config = ServerConfig(lifetime_epsilon=10.0, per_report_epsilon=0.5)
+        with pytest.raises(BudgetError, match="more than the per-report"):
+            ServingPool(serve_arena, config, workers=1)
+        msm = MultiStepMechanism.build(1.0, 2, serve_prior)
         with pytest.raises(BudgetError, match="more than the session"):
             SanitizationSession(
-                lifetime_epsilon=10.0,
-                per_report_epsilon=0.5,
-                mechanism=server.mechanism,
+                lifetime_epsilon=10.0, per_report_epsilon=0.5, mechanism=msm
             )
-
-
-@pytest.mark.statistical
-class TestServerDistributionEquivalence:
-    def test_server_matches_direct_batch_chi_square(self, serve_prior):
-        """The coalesced server path and direct ``sanitize_batch`` are
-        the same mechanism: two-sample chi-square over reported leaf
-        cells must not reject at alpha = 1%."""
-        from scipy import stats
-
-        n = 1500
-        x = Point(3.0, 3.0)
-        server = _server(
-            serve_prior,
-            lifetime=float(n + 1),
-            per_report=1.0,
-            window=0.05,
-            seed=SEED,
-        )
-        with server:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                reports = list(
-                    pool.map(
-                        lambda _: server.report("u", x, timeout=120),
-                        range(n),
-                    )
-                )
-        msm = server.mechanism
-        leaf_grid = msm.index.level_grid(msm.height)
-        served = np.zeros(leaf_grid.n_cells)
-        for r in reports:
-            served[leaf_grid.locate(r.reported).index] += 1
-
-        direct_walks = msm.sanitize_batch(
-            [x] * n, np.random.default_rng(SEED + 1)
-        )
-        direct = np.zeros(leaf_grid.n_cells)
-        for w in direct_walks:
-            direct[leaf_grid.locate(w.point).index] += 1
-
-        keep = (served + direct) > 0
-        table = np.vstack([served[keep], direct[keep]])
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value > 0.01, (
-            f"server vs direct distributions diverge (p={p_value:.4f})"
+        # charging more than the walk spends is conservative, and fine
+        ServingPool(
+            serve_arena,
+            ServerConfig(lifetime_epsilon=10.0, per_report_epsilon=1.5),
+            workers=1,
         )
 
 
 @pytest.mark.statistical
 class TestPoolDistributionEquivalence:
+    @pytest.mark.parametrize("ledger", [False, True])
     def test_pool_matches_direct_batch_chi_square(
-        self, serve_prior, tmp_path
+        self, serve_prior, tmp_path, ledger
     ):
         """The multi-worker pool is the same mechanism: >= 20k samples
         across 4 worker processes (each with its own RNG stream,
         walking the shared zero-copy arena) against direct
         ``sanitize_batch``, two-sample chi-square at alpha = 1%.
 
-        Process parallelism, micro-batching, and the mmap'd arena are
-        all scheduling/storage concerns — none may perturb the sampled
-        distribution."""
+        Process parallelism, micro-batching, the mmap'd arena and the
+        reserve → sample → commit journal are all scheduling/storage
+        concerns — none may perturb the sampled distribution."""
         from scipy import stats
-
-        from repro.serve import MechanismArena, ServingPool
 
         n = 20_000
         n_users = 40
@@ -629,13 +620,22 @@ class TestPoolDistributionEquivalence:
         compiled = msm.engine.compile(build=True)
         arena = MechanismArena.freeze(compiled, tmp_path / "arena")
         config = ServerConfig(
-            lifetime_epsilon=float(n + 1),
+            # each user's own 500 reports, and one to spare: admission
+            # simulates every remaining spend, so a 20k lifetime would
+            # spend minutes in budget arithmetic this test is not about
+            lifetime_epsilon=float(n // n_users + 1),
             per_report_epsilon=1.0,
             coalesce_window=0.02,
             max_batch=512,
             max_pending=2 * n,
         )
-        pool = ServingPool(arena, config, workers=4, seed=SEED)
+        pool = ServingPool(
+            arena,
+            config,
+            workers=4,
+            ledger_dir=tmp_path / "ledgers" if ledger else None,
+            seed=SEED,
+        )
         with pool:
             handles = [
                 pool.submit(f"user-{i % n_users}", x) for i in range(n)
@@ -644,6 +644,10 @@ class TestPoolDistributionEquivalence:
         assert pool.stats().completed == n
         # all four workers actually sampled (no degenerate routing)
         assert all(s.batches > 0 for s in pool.shard_stats())
+        if ledger:
+            replay = pool.ledger_replay()
+            assert sum(replay.spent.values()) == pytest.approx(n * 1.0)
+            assert replay.open_reservations == {}
 
         leaf_grid = msm.index.level_grid(msm.height)
         pooled = np.zeros(leaf_grid.n_cells)
