@@ -18,10 +18,10 @@ versioned artifact envelope of :mod:`repro.bench.artifact`):
   every distance meaning *driving* distance: POIs live on road
   vertices, the server ranks by shortest path, and the QoS cost is
   extra travel along the network;
-* **walk throughput** — points per second of the staged walk and of
-  the compiled kernel (membership labels, one vertex snap per batch)
-  on one fixed seeded batch, after asserting the two paths report the
-  same points bit for bit.
+* **walk throughput** — points per second of the compiled kernel
+  (membership labels, one vertex snap per batch) on one fixed seeded
+  batch, after asserting it reports the reference walk's points bit
+  for bit (:mod:`repro.testing.oracle`).
 
 Runnable both ways::
 
@@ -57,6 +57,7 @@ from repro.lbs.poi import POIStore
 from repro.lbs.service import LocationBasedService
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
+from repro.testing.oracle import oracle_walk
 
 #: Where the committed result lands.
 RESULT_PATH = REPO_ROOT / "BENCH_graph.json"
@@ -123,40 +124,35 @@ def eval_inputs(partition: GraphPartitionIndex, n: int) -> list:
 
 
 def walk_throughput(msm: MultiStepMechanism, n: int = N_WALK_POINTS) -> dict:
-    """Staged vs compiled walk throughput on one seeded batch of ``n``
-    uniform city points (best of :data:`WALK_REPEATS`, traceless).
+    """Kernel walk throughput on one seeded batch of ``n`` uniform city
+    points (best of :data:`WALK_REPEATS`, traceless).
 
-    Both paths draw from the same seed and must report the same points
-    bit for bit; the kernel is a re-expression of the staged walk.
+    Every repeat must report the reference walk's points bit for bit.
     """
     b = msm.index.bounds
     xy = rng("graph-walk").uniform(
         (b.min_x, b.min_y), (b.max_x, b.max_y), size=(n, 2)
     )
     points = [Point(float(x), float(y)) for x, y in xy]
-    engine = msm.engine
-    assert engine.compile(build=False) is not None, "warm graph tree must compile"
-    seconds: dict[str, float] = {}
-    reported: dict[str, list] = {}
-    for mode in ("never", "always"):
-        engine.kernel = mode
-        times = []
-        for _ in range(WALK_REPEATS):
-            start = time.perf_counter()
-            walks = msm.sanitize_batch(
-                points, rng("graph-walk-sanitize"), trace=False
-            )
-            times.append(time.perf_counter() - start)
-        seconds[mode] = min(times)
-        reported[mode] = [w.point for w in walks]
-    engine.kernel = "auto"
-    assert reported["never"] == reported["always"], "kernel diverged from staged"
+    assert msm.engine.compile(build=False) is not None, "warm graph tree must compile"
+    expected = [
+        w.point
+        for w in oracle_walk(
+            msm.engine, points, rng("graph-walk-sanitize"), trace=False
+        )
+    ]
+    times = []
+    for _ in range(WALK_REPEATS):
+        start = time.perf_counter()
+        walks = msm.sanitize_batch(
+            points, rng("graph-walk-sanitize"), trace=False
+        )
+        times.append(time.perf_counter() - start)
+        assert [w.point for w in walks] == expected, "kernel diverged from oracle"
     return {
         "n_points": n,
         "repeats": WALK_REPEATS,
-        "staged_points_per_second": round(n / seconds["never"], 1),
-        "kernel_points_per_second": round(n / seconds["always"], 1),
-        "kernel_speedup": round(seconds["never"] / seconds["always"], 2),
+        "kernel_points_per_second": round(n / min(times), 1),
     }
 
 
@@ -254,9 +250,7 @@ def test_graph_bench_smoke():
     lbs = results["lbs"]
     assert 0.0 <= lbs["mean_recall_at_k"] <= 1.0
     assert lbs["mean_extra_travel_km"] >= 0.0
-    walk = results["walk"]
-    assert walk["staged_points_per_second"] > 0.0
-    assert walk["kernel_points_per_second"] > 0.0
+    assert results["walk"]["kernel_points_per_second"] > 0.0
 
 
 if __name__ == "__main__":

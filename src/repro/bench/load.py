@@ -198,10 +198,6 @@ def run_load_benchmark(
     say(f"building mechanism (GIHI g={GRANULARITY} h={HEIGHT})...")
     msm = _build_msm()
     compiled = msm.engine.compile(build=True)
-    if compiled is None:
-        raise ServeError(
-            "benchmark mechanism did not compile", reason="bench"
-        )
 
     results: dict[str, Any] = {
         "benchmark": "pool-load",

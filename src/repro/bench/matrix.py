@@ -21,15 +21,12 @@ from typing import Iterator
 
 from repro.exceptions import EvaluationError
 
-#: Mechanism dimension values understood by the runner.  ``msm-kernel``
-#: is the MSM served through the compiled array-walk kernel (same
-#: mechanism, same distribution — a distinct column so the sampling
-#: path's throughput and its privacy/utility panel are gated too).
-MECHANISMS = ("msm", "msm-remap", "msm-kernel", "pl", "exp")
+#: Mechanism dimension values understood by the runner.
+MECHANISMS = ("msm", "msm-remap", "pl", "exp")
 
 #: Dataset dimension values understood by the runner.  ``graph-city``
 #: is the synthetic road network (no I/O, fully deterministic); it is
-#: only meaningful with a ``kind="graph"`` index and the staged MSM.
+#: only meaningful with a ``kind="graph"`` index and the MSM.
 DATASETS = ("uniform", "gowalla", "yelp", "graph-city")
 
 #: Index dimension kinds: ``gihi`` is the planar hierarchical grid,
@@ -130,8 +127,8 @@ class CellSpec:
             )
         if graph_index and self.mechanism != "msm":
             raise EvaluationError(
-                "graph cells support only the staged 'msm' mechanism "
-                "(flat grid mechanisms and the compiled kernel are "
+                "graph cells support only the 'msm' mechanism "
+                "(flat grid mechanisms and the optimal remap are "
                 f"planar-only); got {self.mechanism!r}"
             )
 
@@ -232,13 +229,12 @@ _GRAPH_SMOKE_CELLS = tuple(
     for eps in (0.5, 1.0)
 )
 
-#: The CI gate matrix: 10 cells, < 1 minute on a laptop.  One planar
+#: The CI gate matrix: 8 cells, < 1 minute on a laptop.  One planar
 #: geometry, one real dataset at a small fraction, the three mechanism
-#: families plus the compiled-kernel MSM column, two budget points —
-#: plus the two road-network cells.
+#: families, two budget points — plus the two road-network cells.
 SMOKE = MatrixSpec(
     name="smoke",
-    mechanisms=("msm", "msm-kernel", "pl", "exp"),
+    mechanisms=("msm", "pl", "exp"),
     indexes=(IndexSpec(granularity=3, height=2),),
     datasets=(DatasetSpec("gowalla", fraction=0.05),),
     epsilons=(0.5, 1.0),

@@ -30,7 +30,6 @@ from repro.bench.artifact import envelope, validate_artifact
 from repro.bench.matrix import CellSpec, DatasetSpec, MatrixSpec
 from repro.core.budget.allocation import allocate_budget_fixed_height
 from repro.core.msm import MultiStepMechanism
-from repro.exceptions import EvaluationError
 from repro.eval.privacy import (
     empirical_epsilon_sampled,
     privacy_metrics,
@@ -134,7 +133,7 @@ def _build_mechanism(
 ) -> tuple[Mechanism, Callable[[], MechanismMatrix], tuple[float, ...]]:
     """The cell's sampler, a thunk for its exact matrix, its budgets."""
     g, h = cell.index.granularity, cell.index.height
-    if cell.mechanism in ("msm", "msm-remap", "msm-kernel"):
+    if cell.mechanism in ("msm", "msm-remap"):
         plan = allocate_budget_fixed_height(
             cell.epsilon, g, bounds.side, height=h, rho=rho
         )
@@ -143,14 +142,6 @@ def _build_mechanism(
             index, plan.budgets, prior, remap=cell.mechanism == "msm-remap"
         )
         msm.precompute()
-        if cell.mechanism == "msm-kernel":
-            # Serve through the compiled array walk; the column fails
-            # loudly if the warmed tree ever stops compiling.
-            msm.engine.kernel = "always"
-            if msm.engine.compile(build=False) is None:
-                raise EvaluationError(
-                    "msm-kernel cell: warmed GIHI tree failed to compile"
-                )
 
         def matrix() -> MechanismMatrix:
             walk = msm.to_matrix()

@@ -169,10 +169,12 @@ class NodeMechanismCache:
     def version(self) -> int:
         """Monotone content-change counter.
 
-        Bumped on every :meth:`put`, eviction and :meth:`clear`.  A
-        compiled walk kernel records the version it was built against
-        and rebuilds (or falls back to the staged path) when it no
-        longer matches — the eviction→invalidation contract.
+        Bumped whenever an entry leaves or changes: a :meth:`put` that
+        replaces an entry, an eviction, :meth:`clear`.  A fresh insert
+        does not bump it — a kernel snapshot lacking the new node just
+        resolves it on first visit.  The compiled walk kernel records
+        the version it was built against and rebuilds when it no longer
+        matches — the eviction→invalidation contract.
         """
         with self._lock:
             return self._version
@@ -250,10 +252,10 @@ class NodeMechanismCache:
             old = self._store.get(path)
             if old is not None:
                 self._resident_bytes -= old.size_bytes
+                self._version += 1
             self._store[path] = entry
             self._store.move_to_end(path)
             self._resident_bytes += entry.size_bytes
-            self._version += 1
             self._evict_to_budget(protect=path)
         self._record_residency()
         return entry

@@ -1,36 +1,40 @@
 """The unified MSM walk engine.
 
 Every sanitisation in the library — one point or fifty thousand — runs
-through a single staged pipeline owned by :class:`WalkEngine`:
+through :class:`WalkEngine` on one walk implementation, the compiled
+kernel (:mod:`repro.core.kernel`):
 
     locate  → resolve → sample  → descend → finalise
     (snap     (cache /   (vector-  (pick      (optional
     to a      resilient  ised CDF  reported   optimal
     child)    solver)    draw)     child)     remap)
 
-The scalar path is literally a batch of one:
+The engine compiles its index tree once (topology and geometry, no LP)
+and the kernel resolves node mechanisms on first visit, so a cold
+single sample builds exactly the nodes its walk reaches — the paper's
+"solve only the tiny OPT at each node a walk reaches".  The scalar path
+is literally a batch of one:
 :meth:`~repro.core.msm.MultiStepMechanism.sample_with_report` calls the
 same engine code as
 :meth:`~repro.core.msm.MultiStepMechanism.sanitize_batch`, so the two
-are byte-identical under a shared seed — there is no second walk
-implementation to drift out of sync.
+are byte-identical under a shared seed.  The staged Algorithm-1 walk
+survives only as the test oracle, :mod:`repro.testing.oracle`.
 
-Every batch walks in-process, on the compiled kernel when the warmed
-tree compiles and on the staged pipeline otherwise.  The optional
-finalise step is :class:`OptimalRemapPostProcessor`, the optimal
-Bayesian remap of Chatzikokolakis et al. ("Trading Optimality for
-Performance in Location Privacy"): a deterministic output-only
+The optional finalise step is :class:`OptimalRemapPostProcessor`, the
+optimal Bayesian remap of Chatzikokolakis et al. ("Trading Optimality
+for Performance in Location Privacy"): a deterministic output-only
 transformation that by the data-processing inequality never weakens
 GeoInd and never increases posterior-expected loss.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from repro.obs import NOOP, MetricsSnapshot, Observability
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import CacheEntry, NodeMechanismCache
-from repro.core.kernel import CompiledWalk, compile_walk
+from repro.core.kernel import CompiledWalk, LevelArrays, compile_walk
 from repro.core.resilience import (
     DegradationReport,
     DegradedNode,
@@ -240,15 +244,16 @@ class OptimalRemapPostProcessor:
 # the engine
 # ----------------------------------------------------------------------
 class WalkEngine:
-    """One staged, vectorised implementation of the MSM level walk.
+    """The MSM level walk over one index, on the compiled kernel.
 
     The engine owns the walk configuration (index, per-level budgets,
     prior, metrics, resilient solver, guard/degrade policy, node cache)
-    and exposes the stages — :meth:`locate`, :meth:`resolve_many`,
-    :meth:`sample`, :meth:`finalise` — plus the :meth:`walk` loop that
-    strings them together.  :class:`~repro.core.msm.MultiStepMechanism`
-    is a thin facade over an engine.  ``postprocessor`` is the optional
-    finalise step (the optimal remap), wired by
+    and the kernel snapshot, and exposes the steps the kernel calls
+    back into — :meth:`resolve_many` (cache or solve) and
+    :meth:`finalise` — plus the :meth:`walk` loop.
+    :class:`~repro.core.msm.MultiStepMechanism` is a thin facade over an
+    engine.  ``postprocessor`` is the optional finalise step (the
+    optimal remap), wired by
     :meth:`~repro.core.msm.MultiStepMechanism.enable_remap`.
     """
 
@@ -266,13 +271,7 @@ class WalkEngine:
         guard: bool = True,
         cache: NodeMechanismCache | None = None,
         obs: Observability | None = None,
-        kernel: str = "auto",
-        kernel_min_batch: int = 1024,
     ):
-        if kernel not in ("auto", "always", "never"):
-            raise MechanismError(
-                f"kernel must be 'auto', 'always' or 'never', got {kernel!r}"
-            )
         self._index = index
         self._budgets = tuple(float(b) for b in budgets)
         self._prior = prior
@@ -286,10 +285,9 @@ class WalkEngine:
         self._cache = cache if cache is not None else NodeMechanismCache()
         self.postprocessor: OptimalRemapPostProcessor | None = None
         self._lp_seconds = 0.0
-        self._kernel = kernel
-        self.kernel_min_batch = int(kernel_min_batch)
         self._compiled: CompiledWalk | None = None
-        self._compile_failed_version: int | None = None
+        # guards swapping ``_compiled``; walks read snapshots lock-free
+        self._lock = threading.Lock()
         self.bind_observability(obs if obs is not None else NOOP)
 
     # ------------------------------------------------------------------
@@ -325,21 +323,9 @@ class WalkEngine:
         return self._spanner_dilation
 
     @property
-    def kernel(self) -> str:
-        """Kernel dispatch policy: ``"auto"``, ``"always"`` or ``"never"``."""
-        return self._kernel
-
-    @kernel.setter
-    def kernel(self, mode: str) -> None:
-        if mode not in ("auto", "always", "never"):
-            raise MechanismError(
-                f"kernel must be 'auto', 'always' or 'never', got {mode!r}"
-            )
-        self._kernel = mode
-
-    @property
     def compiled(self) -> CompiledWalk | None:
-        """The current compiled-walk snapshot (None = not compiled)."""
+        """The current kernel snapshot (None before the first walk or
+        compile; possibly incomplete — see ``CompiledWalk.complete``)."""
         return self._compiled
 
     @property
@@ -376,51 +362,94 @@ class WalkEngine:
         return self._lp_seconds
 
     # ------------------------------------------------------------------
-    # the compiled kernel
+    # the kernel snapshot
     # ------------------------------------------------------------------
     def compile(self, build: bool = True) -> CompiledWalk | None:
-        """(Re)compile the walk kernel from the warmed tree.
+        """Compile the kernel with every reachable node mechanism.
 
-        ``build=True`` solves missing nodes through the normal resolve
-        path first (like a precompute); ``build=False`` compiles only if
-        every reachable node is already cached.  Returns the snapshot,
-        or None when the index/cache cannot be compiled — the engine
-        then stays on the staged path.  Failed compiles are remembered
-        per cache version so ``"auto"`` dispatch does not retry a
-        hopeless compile on every batch.
+        ``build=True`` solves the nodes the cache lacks through the
+        normal resolve path (like a precompute) and always returns a
+        complete snapshot; ``build=False`` returns None unless every
+        reachable entry is already cached.  Rows are laid out in
+        node-id order, so compiles of the same cache content are
+        bitwise equal.  Raises
+        :class:`~repro.exceptions.MechanismError` when the index
+        cannot be packed into flat arrays.
         """
-        compiled = compile_walk(self, build_missing=build)
-        if compiled is None:
-            self._compiled = None
-            self._compile_failed_version = self._cache.version
-        else:
-            self._compiled = compiled
-            self._compile_failed_version = None
-        return self._compiled
+        walk = compile_walk(self)
+        if not walk.complete:
+            if not build:
+                return None
+            for depth in range(len(self._budgets)):
+                pending = np.flatnonzero(
+                    (walk.level == depth)
+                    & (walk.child_count > 0)
+                    & (walk.row_offset < 0)
+                )
+                if pending.size:
+                    walk = walk.with_entries(
+                        pending, self._resolve_ids(walk, depth + 1, pending)
+                    )
+            walk = walk.packed()
+        with self._lock:
+            self._compiled = walk
+        return walk
 
     def adopt_compiled(self, compiled: CompiledWalk) -> None:
-        """Adopt an externally built snapshot (e.g. a store sidecar)."""
-        self._compiled = compiled
-        self._compile_failed_version = None
+        """Adopt an externally built complete snapshot (e.g. a store
+        sidecar)."""
+        if not compiled.complete:
+            raise MechanismError("cannot adopt an incomplete kernel snapshot")
+        with self._lock:
+            self._compiled = compiled
 
-    def _kernel_ready(self, n_points: int) -> bool:
-        """Decide staged vs compiled for this batch (may compile)."""
-        mode = self._kernel
-        if mode == "never":
-            return False
-        if mode == "auto" and n_points < self.kernel_min_batch:
-            return False
+    def _snapshot(self) -> CompiledWalk:
+        """The current snapshot, rebuilt when the cache has since
+        evicted, replaced or cleared entries."""
+        compiled = self._compiled
         version = self._cache.version
-        if (
-            self._compiled is not None
-            and self._compiled.cache_version == version
-        ):
-            return True
-        # Stale or absent snapshot: recompile.  "auto" only harvests a
-        # warm cache; "always" builds whatever is missing.
-        if mode == "auto" and self._compile_failed_version == version:
-            return False
-        return self.compile(build=(mode == "always")) is not None
+        if compiled is None or compiled.cache_version != version:
+            with self._lock:
+                compiled = self._compiled
+                if compiled is None or compiled.cache_version != version:
+                    compiled = self._compiled = compile_walk(self)
+        return compiled
+
+    def _grow(
+        self, walk: CompiledWalk, level: int, ids: np.ndarray
+    ) -> CompiledWalk:
+        """The kernel's resolve hook: resolve pending nodes ``ids`` and
+        swap in the grown snapshot (copy-on-write).
+
+        Grows the engine's newest snapshot when it shares ``walk``'s
+        cache version (a concurrent walk may have filled other nodes
+        since), else ``walk`` itself.
+        """
+        entries = self._resolve_ids(walk, level, ids)
+        with self._lock:
+            base = self._compiled
+            if base is None or base.cache_version != walk.cache_version:
+                base = walk
+            grown = self._compiled = base.with_entries(ids, entries)
+        return grown
+
+    def _resolve_ids(
+        self, walk: CompiledWalk, level: int, ids: np.ndarray
+    ) -> list[CacheEntry]:
+        """Resolve the mechanisms of snapshot nodes ``ids`` (in order)."""
+        nodes = walk.nodes
+        group_nodes: dict[tuple[int, ...], IndexNode] = {}
+        children_of: dict[tuple[int, ...], list[IndexNode]] = {}
+        for node_id in ids.tolist():
+            node = nodes[node_id]
+            start = int(walk.child_start[node_id])
+            stop = start + int(walk.child_count[node_id])
+            group_nodes[node.path] = node
+            children_of[node.path] = [
+                nodes[c] for c in walk.child_ids[start:stop].tolist()
+            ]
+        entries = self.resolve_many(level, group_nodes, children_of)
+        return [entries[path] for path in group_nodes]
 
     # ------------------------------------------------------------------
     # entry point
@@ -489,7 +518,7 @@ class WalkEngine:
         return WalkReport(results=tuple(results), telemetry=telemetry)
 
     # ------------------------------------------------------------------
-    # the staged pipeline
+    # the walk
     # ------------------------------------------------------------------
     def walk(
         self,
@@ -497,200 +526,45 @@ class WalkEngine:
         rng: np.random.Generator,
         trace: bool = True,
     ) -> list[WalkResult]:
-        """The level walk: staged or compiled, one semantics, any batch.
+        """The level walk on the compiled kernel, for any batch.
 
         Semantically each point gets an independent Algorithm-1 walk
         with a per-point
         :class:`~repro.core.resilience.DegradationReport` (and, with
-        ``trace=True``, full :class:`StepTrace` provenance).  Both code
-        paths consume the RNG stream identically per level — one
-        uniform draw for the drifted points (ascending batch order,
-        skipped when none drifted), one for the reported-child
-        inversion — so which path ran is unobservable in the output: the
-        staged path doubles as the kernel's differential-testing
-        oracle.  A batch of one *is* the scalar path.
+        ``trace=True``, full :class:`StepTrace` provenance).  The fused
+        loop in :meth:`CompiledWalk.walk_arrays` touches no Python
+        objects; nodes the cache lacks are resolved level by level
+        through :meth:`resolve_many` before the level draws, and traces
+        and degradation reports are materialised afterwards from the
+        per-level arrays — only when requested (``trace=True``) or for
+        the (usually empty) degraded subset.  Telemetry counters are
+        computed exactly from the same arrays.  A batch of one *is* the
+        scalar path.
         """
         points = list(points)
         if not points:
             return []
-        if not self._index.children(self._index.root):
+        compiled = self._snapshot()
+        if compiled.child_count[0] == 0:
             raise MechanismError(
                 "index root has no children; nothing to report"
             )
         coords = points_to_array(points)
-        if self._kernel_ready(len(points)):
-            return self._walk_kernel(coords, rng, trace)
-        return self._walk_staged(coords, rng, trace)
-
-    def _walk_staged(
-        self,
-        coords: np.ndarray,
-        rng: np.random.Generator,
-        trace: bool,
-    ) -> list[WalkResult]:
-        """The object-world walk: per-node groups, cache, resilience.
-
-        The level step is organised as flat per-level passes over the
-        active points (locate everything, one drift draw, one uniform
-        draw, per-group row sampling with the pre-drawn uniforms), with
-        per-group Python loops only for descend/trace bookkeeping —
-        exactly the RNG schedule the compiled kernel replays.
-        """
         n = coords.shape[0]
         obs = self._obs
         tracer = obs.tracer
-        nodes: list[IndexNode] = [self._index.root] * n
-        traces: list[list[StepTrace]] | None = (
-            [[] for _ in range(n)] if trace else None
-        )
-        substitutions: list[list[DegradedNode]] = [[] for _ in range(n)]
-        active = list(range(n))
-        with tracer.span("walk", n=n, path="staged"):
-            for level, eps in enumerate(self._budgets, start=1):
-                if not active:
-                    break
-                with tracer.span("level", level=level, epsilon=eps):
-                    groups: dict[tuple[int, ...], list[int]] = {}
-                    for i in active:
-                        groups.setdefault(nodes[i].path, []).append(i)
-                    group_nodes = {
-                        path: nodes[idxs[0]] for path, idxs in groups.items()
-                    }
-                    children_of = {
-                        path: self._index.children(node)
-                        for path, node in group_nodes.items()
-                    }
-                    entries = self.resolve_many(
-                        level, group_nodes, children_of
-                    )
-                    # Points whose node bottomed out early (adaptive
-                    # indexes) drop from the walk; the rest proceed in
-                    # ascending batch order, which fixes the RNG layout.
-                    proc = [
-                        i for i in active if children_of[nodes[i].path]
-                    ]
-                    if not proc:
-                        active = proc
-                        continue
-                    pos_of = {i: p for p, i in enumerate(proc)}
-                    n_proc = len(proc)
-                    x_hat_lvl = np.full(n_proc, -1, dtype=np.int64)
-                    fanout_lvl = np.zeros(n_proc, dtype=np.int64)
-                    with tracer.span("locate", n=n_proc) as sp:
-                        for path, idxs in groups.items():
-                            children = children_of[path]
-                            if not children:
-                                continue
-                            raw = self._index.locate_child_indices(
-                                group_nodes[path], coords[idxs]
-                            )
-                            pos = [pos_of[i] for i in idxs]
-                            x_hat_lvl[pos] = raw
-                            fanout_lvl[pos] = len(children)
-                        drifted_lvl = x_hat_lvl < 0
-                        n_drifted = int(drifted_lvl.sum())
-                        if n_drifted:
-                            r = rng.random(n_drifted)
-                            fan = fanout_lvl[drifted_lvl]
-                            x_hat_lvl[drifted_lvl] = np.minimum(
-                                (r * fan).astype(np.int64), fan - 1
-                            )
-                        if sp is not None:
-                            sp.attributes["drifted"] = n_drifted
-                    with tracer.span("sample", n=n_proc):
-                        u = rng.random(n_proc)
-                        reported_lvl = np.empty(n_proc, dtype=np.int64)
-                        for path, idxs in groups.items():
-                            if not children_of[path]:
-                                continue
-                            pos = [pos_of[i] for i in idxs]
-                            reported_lvl[pos] = entries[path].matrix.sample_rows(
-                                x_hat_lvl[pos], u=u[pos]
-                            )
-                    with tracer.span("descend", n=n_proc):
-                        for path, idxs in groups.items():
-                            children = children_of[path]
-                            if not children:
-                                continue
-                            entry = entries[path]
-                            degraded_node = (
-                                DegradedNode(
-                                    node_path=path,
-                                    level=level,
-                                    epsilon=eps,
-                                    fallback=entry.source,
-                                    reason=entry.reason or "",
-                                )
-                                if entry.degraded
-                                else None
-                            )
-                            for i in idxs:
-                                pos = pos_of[i]
-                                if traces is not None:
-                                    traces[i].append(
-                                        StepTrace(
-                                            level=level,
-                                            node_path=path,
-                                            x_hat_index=int(x_hat_lvl[pos]),
-                                            x_hat_random=bool(
-                                                drifted_lvl[pos]
-                                            ),
-                                            reported_index=int(
-                                                reported_lvl[pos]
-                                            ),
-                                            degraded=entry.degraded,
-                                            mechanism=entry.source,
-                                        )
-                                    )
-                                if degraded_node is not None:
-                                    substitutions[i].append(degraded_node)
-                                nodes[i] = children[reported_lvl[pos]]
-                            if obs.enabled:
-                                pos = [pos_of[i] for i in idxs]
-                                self._record_level_group(
-                                    level,
-                                    entry,
-                                    x_hat_lvl[pos],
-                                    drifted_lvl[pos],
-                                    reported_lvl[pos],
-                                )
-                    active = proc
-            results = [
-                WalkResult(
-                    point=nodes[i].center,
-                    trace=tuple(traces[i]) if traces is not None else (),
-                    degradation=DegradationReport(tuple(substitutions[i])),
-                )
-                for i in range(n)
-            ]
-            if obs.enabled:
-                obs.metrics.counter("repro_walk_degraded_walks_total").inc(
-                    sum(1 for subs in substitutions if subs)
-                )
-            return self.finalise(results)
 
-    def _walk_kernel(
-        self,
-        coords: np.ndarray,
-        rng: np.random.Generator,
-        trace: bool,
-    ) -> list[WalkResult]:
-        """The array-world walk: flat per-level passes, lazy provenance.
+        def resolve(walk: CompiledWalk, level: int, ids: np.ndarray):
+            nonlocal compiled
+            compiled = self._grow(walk, level, ids)
+            return compiled
 
-        The fused loop in :meth:`CompiledWalk.walk_arrays` touches no
-        Python objects; traces and degradation reports are materialised
-        afterwards from the per-level arrays — only when requested
-        (``trace=True``) or for the (usually empty) degraded subset.
-        Telemetry counters are computed exactly from the same arrays.
-        """
-        compiled = self._compiled
-        assert compiled is not None
-        n = coords.shape[0]
-        obs = self._obs
-        tracer = obs.tracer
         with tracer.span("walk", n=n, path="kernel"):
             final_ids, levels = compiled.walk_arrays(
-                coords, rng, tracer=tracer if obs.enabled else None
+                coords,
+                rng,
+                tracer=tracer if obs.enabled else None,
+                resolve=resolve,
             )
             degraded_mask = np.zeros(n, dtype=bool)
             for ld in levels:
@@ -756,11 +630,17 @@ class WalkEngine:
                 )
             return self.finalise(results)
 
-    def _record_level_arrays(self, ld, compiled: CompiledWalk) -> None:
-        """Exact per-level metrics from the kernel's arrays.
+    def _record_level_arrays(
+        self, ld: LevelArrays, compiled: CompiledWalk
+    ) -> None:
+        """Exact per-level step metrics from the kernel's arrays (only
+        called when observability is on).
 
-        Mirrors :meth:`_record_level_group` summed over a level's
-        groups: same counters, same labels, same totals.
+        ``on_track`` counts non-drifted steps whose reported child equals
+        the true child — the numerator of the achieved same-cell
+        probability Pr[x|x] that the budget allocation (Section 5 of the
+        paper) promises to keep >= rho at every level:
+        ``on_track / (steps - drifted)``.
         """
         metrics = self._obs.metrics
         n_steps = int(ld.active.size)
@@ -780,68 +660,7 @@ class WalkEngine:
                 "repro_walk_degraded_steps_total", level=ld.level
             ).inc(degraded_steps)
 
-    def _record_level_group(
-        self,
-        level: int,
-        entry: CacheEntry,
-        x_hat: np.ndarray,
-        drifted: np.ndarray,
-        reported: np.ndarray,
-    ) -> None:
-        """Per-group step metrics (only called when observability is on).
-
-        ``on_track`` counts non-drifted steps whose reported child equals
-        the true child — the numerator of the achieved same-cell
-        probability Pr[x|x] that the budget allocation (Section 5 of the
-        paper) promises to keep >= rho at every level:
-        ``on_track / (steps - drifted)``.
-        """
-        metrics = self._obs.metrics
-        n_steps = len(x_hat)
-        n_drifted = int(drifted.sum())
-        on_track = int((~drifted & (reported == x_hat)).sum())
-        metrics.counter("repro_walk_steps_total", level=level).inc(n_steps)
-        if n_drifted:
-            metrics.counter(
-                "repro_walk_drifted_total", level=level
-            ).inc(n_drifted)
-        metrics.counter(
-            "repro_walk_on_track_total", level=level
-        ).inc(on_track)
-        if entry.degraded:
-            metrics.counter(
-                "repro_walk_degraded_steps_total", level=level
-            ).inc(n_steps)
-
-    # -- stage: locate --------------------------------------------------
-    def locate(
-        self,
-        node: IndexNode,
-        children: Sequence[IndexNode],
-        coords: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Algorithm 1 lines 8-10, vectorised: snap each point to the
-        child containing it, or draw a uniform child where the walk has
-        drifted outside the node.  Returns ``(x_hat, drifted)``.
-
-        The drift draw is ``floor(U * fanout)`` over one
-        ``rng.random`` block (clamped against the ``U * fanout ==
-        fanout`` float edge case) — the same schedule the walk paths
-        use, so this public stage agrees with them draw-for-draw.
-        """
-        x_hat = self._index.locate_child_indices(node, coords)
-        drifted = x_hat < 0
-        n_drifted = int(drifted.sum())
-        if n_drifted:
-            fanout = len(children)
-            r = rng.random(n_drifted)
-            x_hat[drifted] = np.minimum(
-                (r * fanout).astype(np.int64), fanout - 1
-            )
-        return x_hat, drifted
-
-    # -- stage: resolve -------------------------------------------------
+    # -- resolve --------------------------------------------------------
     def resolve(
         self,
         node: IndexNode,
@@ -975,18 +794,7 @@ class WalkEngine:
             return np.full(len(children), 1.0 / len(children))
         return masses / total
 
-    # -- stage: sample --------------------------------------------------
-    def sample(
-        self,
-        entry: CacheEntry,
-        x_hat: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Draw one reported child per point from the guarded step matrix
-        (vectorised CDF inversion over the gathered rows)."""
-        return entry.matrix.sample_rows(x_hat, rng)
-
-    # -- stage: finalise ------------------------------------------------
+    # -- finalise -------------------------------------------------------
     def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
         """Apply the optimal remap, when one is wired."""
         post = self.postprocessor
@@ -998,7 +806,3 @@ class WalkEngine:
             if post is None or not results:
                 return results
             return post.finalise(results)
-
-
-#: Builder signature the cache's bulk warm-up expects.
-StepBuilder = Callable[[tuple[int, ...]], tuple[MechanismMatrix, dict]]

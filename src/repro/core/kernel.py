@@ -1,59 +1,67 @@
-"""The compiled walk kernel: the warmed tree as flat arrays.
+"""The compiled walk kernel: the index tree as flat arrays.
 
-The staged :meth:`~repro.core.engine.WalkEngine.walk` is organised
-around Python objects — ``IndexNode`` groups, per-node ``CacheEntry``
-lookups, per-point ``StepTrace`` construction.  That shape is right for
-cold caches, adaptive indexes and fault handling, but it caps the warm
-hot path at Python speed.
-
-:class:`CompiledWalk` is the same warmed tree *compiled* to a
-struct-of-arrays form:
+:class:`CompiledWalk` is the one implementation of the MSM level walk.
+It holds the tree in struct-of-arrays form:
 
 * **CSR child topology** over dense integer node ids (BFS order, root
   id 0): ``child_start``/``child_count`` index into ``child_ids``;
 * **packed child geometry** per node (grid origin/cell size/shape, or
   the binary split coordinate) so locating a whole level of points is a
-  handful of gathered array expressions;
+  handful of gathered array expressions.  Box-tiled nodes without
+  arithmetic addressing (the STR index) locate among their children's
+  stored bounds with the default scan's tie-break;
 * **membership labels** for indexes whose regions are not boxes (the
   road-network partition): every member node's per-key child-slot
   labels concatenated into one ``member_labels`` array addressed by a
   per-node ``label_offset``.  Each point is snapped to its key (nearest
   of the ``snap_coords`` sites) once per batch, and a member level is
   one gather ``member_labels[label_offset[ids] + keys]``;
-* **stacked CDF arenas** per level: every warmed node's
+* **stacked CDF arenas** per level: node mechanisms'
   :attr:`~repro.mechanisms.matrix.MechanismMatrix.cdf` rows
   concatenated into one contiguous ``(rows, fanout)`` array, with a
   per-node ``row_offset`` table, so sampling a level is one cross-node
   row gather and one vectorised CDF inversion.
 
-The float fields are the *same expressions* the staged path computes
-(each index's ``child_geometry`` contract), the snap rebuilds the
-index's own nearest-site tree from the stored site coordinates, and
-sampling uses the same comparison-count inversion as
-``MechanismMatrix.sample_rows``, so under the engine's unified
-per-level RNG scheme the compiled walk is bitwise identical to the
-staged walk — the differential fuzz suite holds the two to byte
-equality.  Every index in the repository compiles except the STR
-index, whose quantile tiling exports no child geometry.
+:func:`compile_walk` builds the topology and geometry of the whole tree
+(no LP is solved) and fills the CDF rows of the node mechanisms the
+cache already holds.  An internal node whose mechanism is missing is
+*pending* (``row_offset == -1``): the walk resolves a level's pending
+nodes through a ``resolve`` hook — the engine's cache and resilient
+solver — before that level draws anything, and continues on the grown
+snapshot.  Growing is copy-on-write over the same node ids
+(:meth:`CompiledWalk.with_entries`), so a concurrent walk never reads a
+half-grown arena.  A snapshot whose ``complete`` flag is set skips the
+pending check altogether.
 
-A compiled walk is a snapshot: it records the cache ``version`` it was
-built against, and the engine drops it (falling back to the staged
-path, or recompiling) when the cache has since evicted or replaced
-entries — the eviction→invalidation contract.
+The float fields are the *same expressions* each index's own locate
+computes (the ``child_geometry`` contract), the snap rebuilds the
+index's nearest-site tree from the stored site coordinates, and
+sampling uses the same comparison-count inversion as
+``MechanismMatrix.sample_rows``, so on a shared seed the kernel is
+bitwise identical to the Algorithm-1 reference walk in
+:mod:`repro.testing.oracle` — the test suite holds the two to byte
+equality on every index in the repository.
+
+A compiled walk records the cache ``version`` it was built against;
+the engine rebuilds it when the cache has since evicted, replaced or
+cleared entries — the eviction→invalidation contract.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.exceptions import MechanismError
+from repro.grid.index import IndexNode
 from repro.mechanisms.matrix import invert_cdf_rows
+from repro.obs import NOOP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cache import CacheEntry
     from repro.core.engine import WalkEngine
 
 #: ``kind`` codes (int8): how a node's children are located.
@@ -62,13 +70,35 @@ KIND_GRID = 0
 KIND_SPLIT_X = 1
 KIND_SPLIT_Y = 2
 KIND_MEMBER = 3
+KIND_TILES = 4
 
 _KIND_CODE = {
     "grid": KIND_GRID,
     "split-x": KIND_SPLIT_X,
     "split-y": KIND_SPLIT_Y,
     "member": KIND_MEMBER,
+    "tiles": KIND_TILES,
 }
+
+#: The per-node array fields of :class:`CompiledWalk` and their dtypes,
+#: in persistence order.
+_NODE_ARRAYS = {
+    "kind": np.int8,
+    **dict.fromkeys(("min_x", "min_y", "max_x", "max_y", "cell_w", "cell_h"), float),
+    **dict.fromkeys(("gx", "gy"), np.int64),
+    **dict.fromkeys(("split", "center_x", "center_y"), float),
+    **dict.fromkeys(
+        ("level", "child_start", "child_count", "child_ids", "row_offset",
+         "label_offset", "member_labels"),
+        np.int64,
+    ),
+    "snap_coords": float,
+    "degraded": bool,
+}
+
+#: ``resolve(walk, level, ids)`` hook: fill the pending nodes ``ids``
+#: (distinct, in first-visit order) and return the grown snapshot.
+Resolver = Callable[["CompiledWalk", int, np.ndarray], "CompiledWalk"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +121,7 @@ class LevelArrays:
 
 @dataclass
 class CompiledWalk:
-    """The warmed tree compiled to flat arrays (see module docstring)."""
+    """The index tree compiled to flat arrays (see module docstring)."""
 
     # per-node geometry / topology (all indexed by node id)
     kind: np.ndarray  # int8 kind codes
@@ -110,7 +140,7 @@ class CompiledWalk:
     child_start: np.ndarray
     child_count: np.ndarray
     child_ids: np.ndarray
-    row_offset: np.ndarray  # start row in the node's level arena, -1 terminal
+    row_offset: np.ndarray  # start row in the node's level arena, -1 terminal/pending
     label_offset: np.ndarray  # start of the node's labels, -1 non-member
     member_labels: np.ndarray  # child slot per (member node, key), -1 outside
     snap_coords: np.ndarray  # (k, 2) sites a key indexes; (0, 2) when unused
@@ -125,10 +155,22 @@ class CompiledWalk:
     paths: list[tuple[int, ...]]
     #: cache content version this snapshot was compiled against
     cache_version: int = 0
+    #: the index nodes behind the ids (None for a snapshot loaded from
+    #: arrays; only a snapshot with nodes can resolve pending ones)
+    nodes: list[IndexNode] | None = field(
+        default=None, repr=False, compare=False
+    )
+    #: True when no internal node is pending
+    complete: bool = field(init=False, repr=False, compare=False)
     #: nearest-site tree over ``snap_coords``, built on first snap
     _snap_tree: cKDTree | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.complete = bool(
+            np.all(self.row_offset[self.child_count > 0] >= 0)
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -161,15 +203,22 @@ class CompiledWalk:
         coords: np.ndarray,
         rng: np.random.Generator,
         tracer: Any | None = None,
+        resolve: Resolver | None = None,
     ) -> tuple[np.ndarray, list[LevelArrays]]:
         """Walk every point root-to-leaf with flat per-level passes.
 
         Returns the final node id per point plus the per-level arrays.
-        RNG consumption per level matches the staged path exactly: one
+        Per level: pending nodes are resolved first (through
+        ``resolve``; an incomplete snapshot without one raises
+        :class:`~repro.exceptions.MechanismError`), then one
         ``rng.random(n_drifted)`` draw (skipped when no point drifted)
-        followed by one ``rng.random(n_active)`` draw, both in ascending
-        batch order.  A member tree snaps every point to its key once,
-        up front, and locates each level with one label gather.
+        picks the drifted points' uniform children and one
+        ``rng.random(n_active)`` draw inverts the CDF rows, both in
+        ascending batch order.  A member tree snaps every point to its
+        key once, up front, and locates each level with one label
+        gather.  With a ``tracer`` each level opens a ``level`` span
+        holding ``locate`` (with ``drifted``), ``sample`` and
+        ``descend`` spans, after the resolve hook's own spans.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         n = coords.shape[0]
@@ -177,66 +226,74 @@ class CompiledWalk:
         levels: list[LevelArrays] = []
         if n == 0:
             return cur, levels
+        span = (tracer if tracer is not None else NOOP.tracer).span
         x = coords[:, 0]
         y = coords[:, 1]
         keys = self._snap(coords) if self.snap_coords.shape[0] else None
+        walk = self
         for lvl in range(self.n_levels):
-            active = np.flatnonzero(self.child_count[cur] > 0)
+            active = np.flatnonzero(walk.child_count[cur] > 0)
             if active.size == 0:
                 break
-            span_ctx = (
-                tracer.span("level", level=lvl + 1, epsilon=self.budgets[lvl])
-                if tracer is not None
-                else None
-            )
-            if span_ctx is not None:
-                span_ctx.__enter__()
-            try:
-                ids = cur[active]
-                if keys is None:
-                    x_hat = self._locate_boxes(ids, x[active], y[active])
-                else:
-                    # membership is authoritative: no envelope test
-                    # (sibling envelopes overlap, and a point outside
-                    # one can still snap to a member vertex)
-                    x_hat = self.member_labels[
-                        self.label_offset[ids] + keys[active]
+            ids = cur[active]
+            with span("level", level=lvl + 1, epsilon=self.budgets[lvl]):
+                if not walk.complete:
+                    walk = walk._fill_pending(ids, lvl + 1, resolve)
+                with span("locate", n=active.size) as sp:
+                    if keys is None:
+                        x_hat = walk._locate_boxes(ids, x[active], y[active])
+                    else:
+                        # membership is authoritative: no envelope test
+                        # (sibling envelopes overlap, and a point outside
+                        # one can still snap to a member vertex)
+                        x_hat = walk.member_labels[
+                            walk.label_offset[ids] + keys[active]
+                        ]
+                    drifted = x_hat < 0
+                    n_drifted = int(drifted.sum())
+                    if n_drifted:
+                        r = rng.random(n_drifted)
+                        fan = walk.child_count[ids[drifted]]
+                        x_hat[drifted] = np.minimum(
+                            (r * fan).astype(np.int64), fan - 1
+                        )
+                    if sp is not None:
+                        sp.attributes["drifted"] = n_drifted
+                with span("sample", n=active.size):
+                    u = rng.random(active.size)
+                    reported = invert_cdf_rows(
+                        walk.cdf_levels[lvl][walk.row_offset[ids] + x_hat], u
+                    )
+                with span("descend", n=active.size):
+                    cur[active] = walk.child_ids[
+                        walk.child_start[ids] + reported
                     ]
-                drifted = x_hat < 0
-                n_drifted = int(drifted.sum())
-                if n_drifted:
-                    r = rng.random(n_drifted)
-                    fan = self.child_count[ids[drifted]]
-                    x_hat[drifted] = np.minimum(
-                        (r * fan).astype(np.int64), fan - 1
-                    )
-                u = rng.random(active.size)
-                arena_rows = self.row_offset[ids] + x_hat
-                reported = invert_cdf_rows(
-                    self.cdf_levels[lvl][arena_rows], u
-                )
-                cur[active] = self.child_ids[
-                    self.child_start[ids] + reported
-                ]
-                levels.append(
-                    LevelArrays(
-                        level=lvl + 1,
-                        active=active,
-                        ids=ids,
-                        x_hat=x_hat,
-                        drifted=drifted,
-                        reported=reported,
-                    )
-                )
-            finally:
-                if span_ctx is not None:
-                    span_ctx.__exit__(None, None, None)
+            levels.append(
+                LevelArrays(lvl + 1, active, ids, x_hat, drifted, reported)
+            )
         return cur, levels
+
+    def _fill_pending(
+        self, ids: np.ndarray, level: int, resolve: Resolver | None
+    ) -> "CompiledWalk":
+        """This snapshot, or the one ``resolve`` grows to cover ``ids``."""
+        pending = ids[self.row_offset[ids] < 0]
+        if pending.size == 0:
+            return self
+        if resolve is None:
+            raise MechanismError(
+                f"compiled walk lacks {np.unique(pending).size} level-{level} "
+                f"node mechanisms and has no resolver"
+            )
+        # distinct ids in first-visit order, the order the reference
+        # walk meets (and builds) them
+        _, first = np.unique(pending, return_index=True)
+        return resolve(self, level, pending[np.sort(first)])
 
     def _locate_boxes(
         self, ids: np.ndarray, ax: np.ndarray, ay: np.ndarray
     ) -> np.ndarray:
-        """Child slot of each active point among its grid or split
+        """Child slot of each active point among its grid, split or tiles
         node's children; -1 (drifted) outside the node's box."""
         kinds = self.kind[ids]
         x_hat = np.full(ids.size, -1, dtype=np.int64)
@@ -266,6 +323,11 @@ class CompiledWalk:
             x_hat[sy_mask] = (
                 ay[sy_mask] >= self.split[ids[sy_mask]]
             ).astype(np.int64)
+        tiles_mask = kinds == KIND_TILES
+        if tiles_mask.any():
+            x_hat[tiles_mask] = self._locate_tiles(
+                ids[tiles_mask], ax[tiles_mask], ay[tiles_mask]
+            )
         inside = (
             (ax >= self.min_x[ids])
             & (ax <= self.max_x[ids])
@@ -274,6 +336,27 @@ class CompiledWalk:
         )
         x_hat[~inside] = -1
         return x_hat
+
+    def _locate_tiles(
+        self, ids: np.ndarray, ax: np.ndarray, ay: np.ndarray
+    ) -> np.ndarray:
+        """Replay :meth:`~repro.grid.index.SpatialIndex.locate_child`'s
+        scan over each node's child boxes: the first half-open match,
+        else the last closed match, else -1."""
+        fanout = int(self.child_count[ids[0]])  # one fanout per level
+        kids = self.child_ids[self.child_start[ids][:, None] + np.arange(fanout)]
+        px = ax[:, None]
+        py = ay[:, None]
+        low = (self.min_x[kids] <= px) & (self.min_y[kids] <= py)
+        max_x = self.max_x[kids]
+        max_y = self.max_y[kids]
+        closed = low & (px <= max_x) & (py <= max_y)
+        half_open = low & (px < max_x) & (py < max_y)
+        last_closed = fanout - 1 - closed[:, ::-1].argmax(axis=1)
+        slot = np.where(
+            half_open.any(axis=1), half_open.argmax(axis=1), last_closed
+        )
+        return np.where(closed.any(axis=1), slot, -1)
 
     def _snap(self, coords: np.ndarray) -> np.ndarray:
         """Key of each ``(m, 2)`` coordinate: its nearest site's index.
@@ -288,37 +371,81 @@ class CompiledWalk:
         return np.asarray(idx, dtype=np.int64)
 
     # ------------------------------------------------------------------
+    # growing and packing (copy-on-write)
+    # ------------------------------------------------------------------
+    def with_entries(
+        self, ids: Sequence[int], entries: Sequence["CacheEntry"]
+    ) -> "CompiledWalk":
+        """A copy with the CDF rows of pending nodes ``ids`` filled in.
+
+        ``self`` is left untouched and node ids are shared, so walks in
+        flight on the old snapshot stay valid.  Nodes already filled
+        (by a concurrent expansion) are skipped; new rows are appended
+        to their level's arena in the order given.
+        """
+        row_offset = self.row_offset.copy()
+        degraded = self.degraded.copy()
+        source = list(self.source)
+        reason = list(self.reason)
+        cdf_levels = list(self.cdf_levels)
+        blocks: dict[int, list[np.ndarray]] = {}
+        for node_id, entry in zip(ids, entries):
+            node_id = int(node_id)
+            if row_offset[node_id] >= 0:
+                continue
+            fanout = int(self.child_count[node_id])
+            if entry.matrix.shape != (fanout, fanout):
+                raise MechanismError(
+                    f"node {self.paths[node_id]}: mechanism shape "
+                    f"{entry.matrix.shape} does not match its {fanout} "
+                    f"children"
+                )
+            lvl = int(self.level[node_id])
+            rows = blocks.setdefault(lvl, [])
+            row_offset[node_id] = cdf_levels[lvl].shape[0] + fanout * len(rows)
+            rows.append(entry.matrix.cdf)
+            degraded[node_id] = entry.degraded
+            source[node_id] = entry.source
+            reason[node_id] = entry.reason or ""
+        for lvl, rows in blocks.items():
+            cdf_levels[lvl] = np.concatenate([cdf_levels[lvl], *rows])
+        grown = replace(
+            self,
+            row_offset=row_offset,
+            degraded=degraded,
+            source=source,
+            reason=reason,
+            cdf_levels=cdf_levels,
+        )
+        grown._snap_tree = self._snap_tree
+        return grown
+
+    def packed(self) -> "CompiledWalk":
+        """The same snapshot with every level's rows in node-id order —
+        the layout a compile from a warm cache produces, so compiles of
+        the same cache content are bitwise equal however they grew."""
+        row_offset = np.full_like(self.row_offset, -1)
+        cdf_levels = []
+        for lvl, cdf in enumerate(self.cdf_levels):
+            ids = np.flatnonzero((self.level == lvl) & (self.row_offset >= 0))
+            fanout = cdf.shape[1]
+            rows = self.row_offset[ids][:, None] + np.arange(fanout)
+            cdf_levels.append(cdf[rows.ravel()])
+            row_offset[ids] = np.arange(ids.size) * fanout
+        packed = replace(self, row_offset=row_offset, cdf_levels=cdf_levels)
+        packed._snap_tree = self._snap_tree
+        return packed
+
+    # ------------------------------------------------------------------
     # persistence / comparison
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten to plain arrays for ``np.savez`` persistence."""
-        out: dict[str, np.ndarray] = {
-            "kind": self.kind,
-            "min_x": self.min_x,
-            "min_y": self.min_y,
-            "max_x": self.max_x,
-            "max_y": self.max_y,
-            "cell_w": self.cell_w,
-            "cell_h": self.cell_h,
-            "gx": self.gx,
-            "gy": self.gy,
-            "split": self.split,
-            "center_x": self.center_x,
-            "center_y": self.center_y,
-            "level": self.level,
-            "child_start": self.child_start,
-            "child_count": self.child_count,
-            "child_ids": self.child_ids,
-            "row_offset": self.row_offset,
-            "label_offset": self.label_offset,
-            "member_labels": self.member_labels,
-            "snap_coords": self.snap_coords,
-            "degraded": self.degraded,
-            "source": np.asarray(self.source, dtype=np.str_),
-            "reason": np.asarray(self.reason, dtype=np.str_),
-            "budgets": np.asarray(self.budgets, dtype=float),
-            "n_cdf_levels": np.asarray(len(self.cdf_levels), dtype=np.int64),
-        }
+        out = {key: getattr(self, key) for key in _NODE_ARRAYS}
+        out["source"] = np.asarray(self.source, dtype=np.str_)
+        out["reason"] = np.asarray(self.reason, dtype=np.str_)
+        out["budgets"] = np.asarray(self.budgets, dtype=float)
+        out["n_cdf_levels"] = np.asarray(len(self.cdf_levels), dtype=np.int64)
         for lvl, cdf in enumerate(self.cdf_levels):
             out[f"cdf_{lvl}"] = cdf
         return out
@@ -326,38 +453,21 @@ class CompiledWalk:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "CompiledWalk":
         """Rebuild from :meth:`to_arrays` output (paths from the CSR)."""
-        n_cdf = int(np.asarray(arrays["n_cdf_levels"]).item())
-        child_start = np.asarray(arrays["child_start"], dtype=np.int64)
-        child_count = np.asarray(arrays["child_count"], dtype=np.int64)
-        child_ids = np.asarray(arrays["child_ids"], dtype=np.int64)
-        n_nodes = child_start.size
-        paths: list[tuple[int, ...]] = [()] * n_nodes
-        for node in range(n_nodes):
+        fields = {
+            key: np.asarray(arrays[key], dtype=dtype)
+            for key, dtype in _NODE_ARRAYS.items()
+        }
+        child_start = fields["child_start"]
+        child_count = fields["child_count"]
+        child_ids = fields["child_ids"]
+        paths: list[tuple[int, ...]] = [()] * child_start.size
+        for node in range(child_start.size):
             base = child_start[node]
             for slot in range(child_count[node]):
                 paths[int(child_ids[base + slot])] = paths[node] + (slot,)
+        n_cdf = int(np.asarray(arrays["n_cdf_levels"]).item())
         return cls(
-            kind=np.asarray(arrays["kind"], dtype=np.int8),
-            min_x=np.asarray(arrays["min_x"], dtype=float),
-            min_y=np.asarray(arrays["min_y"], dtype=float),
-            max_x=np.asarray(arrays["max_x"], dtype=float),
-            max_y=np.asarray(arrays["max_y"], dtype=float),
-            cell_w=np.asarray(arrays["cell_w"], dtype=float),
-            cell_h=np.asarray(arrays["cell_h"], dtype=float),
-            gx=np.asarray(arrays["gx"], dtype=np.int64),
-            gy=np.asarray(arrays["gy"], dtype=np.int64),
-            split=np.asarray(arrays["split"], dtype=float),
-            center_x=np.asarray(arrays["center_x"], dtype=float),
-            center_y=np.asarray(arrays["center_y"], dtype=float),
-            level=np.asarray(arrays["level"], dtype=np.int64),
-            child_start=child_start,
-            child_count=child_count,
-            child_ids=child_ids,
-            row_offset=np.asarray(arrays["row_offset"], dtype=np.int64),
-            label_offset=np.asarray(arrays["label_offset"], dtype=np.int64),
-            member_labels=np.asarray(arrays["member_labels"], dtype=np.int64),
-            snap_coords=np.asarray(arrays["snap_coords"], dtype=float),
-            degraded=np.asarray(arrays["degraded"], dtype=bool),
+            **fields,
             source=[str(s) for s in arrays["source"]],
             reason=[str(s) for s in arrays["reason"]],
             cdf_levels=[
@@ -396,152 +506,110 @@ class CompiledWalk:
         return True
 
 
-def compile_walk(
-    engine: "WalkEngine", build_missing: bool = False
-) -> CompiledWalk | None:
-    """Compile an engine's warmed tree, or return None if not compilable.
+def compile_walk(engine: "WalkEngine") -> CompiledWalk:
+    """Compile an engine's index tree with every cached node mechanism.
 
-    Grid and split nodes compile to packed arithmetic, and member nodes
-    (the road-network partition) to one flat label array over the
-    shared snap sites.  Not compilable means: a reachable internal node
-    has no ``child_geometry`` (adaptive tilings like the STR index), a
-    child's path slot disagrees with its list position, member nodes
-    share the tree with box nodes or disagree on their snap sites or
-    label length, a level mixes fanouts
-    (its arena would be ragged), or — with ``build_missing=False`` — a
-    needed entry is not in the cache.  ``build_missing=True`` solves
-    misses through the engine's normal resolve path (counting builds
-    and degradations exactly like a precompute).
+    Topology and child geometry are built for every node down to the
+    walk's depth; no LP is solved.  Node mechanisms come from the
+    cache's counter-neutral ``_peek`` (so compiling does not distort
+    hit/miss statistics, and proxy caches keep their drop semantics);
+    an internal node whose entry is not cached is left pending for the
+    walk to resolve on first visit.
 
-    Lookups for already-cached entries go through the cache's
-    counter-neutral ``_peek``, so compiling from a warm cache does not
-    distort hit/miss statistics (and proxy caches keep their drop
-    semantics).
+    Raises :class:`~repro.exceptions.MechanismError` when the tree
+    cannot be packed: an internal node without child geometry, a
+    child's path slot that disagrees with its list position, a level
+    that mixes fanouts, or member nodes that share the tree with box
+    nodes or disagree on their snap sites or label length.
     """
     index = engine.index
     budgets = engine.budgets
     n_levels = len(budgets)
     cache = engine.cache
+    version = cache.version  # read first: a later change makes us stale
 
-    root = index.root
-    nodes = [root]
-    kids_slices: list[tuple[int, int]] = []  # (start, count) per node
-    child_ids_list: list[int] = []
-    matrices = []  # per internal node: (node_id, level, CacheEntry)
-    queue = deque([0])
-    while queue:
-        node_id = queue.popleft()
+    nodes = [index.root]
+    child_start: list[int] = []
+    child_count: list[int] = []
+    child_ids: list[int] = []
+    geometries = []  # per node: its ChildGeometry, None when terminal
+    fanout_of_level: dict[int, int] = {}
+    node_id = 0
+    while node_id < len(nodes):  # BFS: ``nodes`` doubles as the queue
         node = nodes[node_id]
-        if node.level >= n_levels:
-            kids_slices.append((len(child_ids_list), 0))
-            continue
-        children = index.children(node)
+        node_id += 1
+        children = index.children(node) if node.level < n_levels else []
+        fanout = len(children)
+        child_start.append(len(child_ids))
+        child_count.append(fanout)
         if not children:
-            kids_slices.append((len(child_ids_list), 0))
+            geometries.append(None)
             continue
         geometry = index.child_geometry(node)
-        if geometry is None or len(children) != geometry.fanout:
-            return None
+        if geometry is None or geometry.fanout != fanout:
+            raise MechanismError(
+                f"node {node.path}: no child geometry for its {fanout} children"
+            )
+        if fanout_of_level.setdefault(node.level, fanout) != fanout:
+            raise MechanismError(f"level {node.level + 1} mixes fanouts")
         for slot, child in enumerate(children):
             if child.path != node.path + (slot,):
-                return None  # slot != position: CSR reconstruction breaks
-        entry = cache._peek(node.path)
-        if entry is None:
-            if not build_missing:
-                return None
-            entry = engine.resolve(node, node.level + 1, children)
-        if entry.matrix.shape != (len(children), len(children)):
-            return None
-        matrices.append((node_id, node.level, entry, geometry))
-        start = len(child_ids_list)
-        for child in children:
-            child_id = len(nodes)
+                raise MechanismError(
+                    f"node {node.path}: child {slot} has path {child.path}"
+                )
+            child_ids.append(len(nodes))
             nodes.append(child)
-            child_ids_list.append(child_id)
-            queue.append(child_id)
-        kids_slices.append((start, len(children)))
+        geometries.append(geometry)
 
     n_nodes = len(nodes)
     kind = np.full(n_nodes, KIND_TERMINAL, dtype=np.int8)
-    min_x = np.empty(n_nodes)
-    min_y = np.empty(n_nodes)
-    max_x = np.empty(n_nodes)
-    max_y = np.empty(n_nodes)
     cell_w = np.zeros(n_nodes)
     cell_h = np.zeros(n_nodes)
     gx = np.ones(n_nodes, dtype=np.int64)
     gy = np.ones(n_nodes, dtype=np.int64)
     split = np.zeros(n_nodes)
-    center_x = np.empty(n_nodes)
-    center_y = np.empty(n_nodes)
-    level = np.empty(n_nodes, dtype=np.int64)
-    child_start = np.empty(n_nodes, dtype=np.int64)
-    child_count = np.empty(n_nodes, dtype=np.int64)
-    row_offset = np.full(n_nodes, -1, dtype=np.int64)
     label_offset = np.full(n_nodes, -1, dtype=np.int64)
     label_blocks: list[np.ndarray] = []
     sites: np.ndarray | None = None
-    degraded = np.zeros(n_nodes, dtype=bool)
-    source = ["" for _ in range(n_nodes)]
-    reason = ["" for _ in range(n_nodes)]
-
-    for node_id, node in enumerate(nodes):
-        b = node.bounds
-        min_x[node_id] = b.min_x
-        min_y[node_id] = b.min_y
-        max_x[node_id] = b.max_x
-        max_y[node_id] = b.max_y
-        center = node.center
-        center_x[node_id] = center.x
-        center_y[node_id] = center.y
-        level[node_id] = node.level
-        start, count = kids_slices[node_id]
-        child_start[node_id] = start
-        child_count[node_id] = count
-
-    per_level_fanout: dict[int, int] = {}
-    per_level_rows: dict[int, int] = {}
-    per_level_matrices: dict[int, list] = {lvl: [] for lvl in range(n_levels)}
-    for node_id, lvl, entry, geometry in matrices:
-        fanout = entry.matrix.shape[1]
-        known = per_level_fanout.setdefault(lvl, fanout)
-        if known != fanout:
-            return None  # ragged level: no contiguous arena
-        row_offset[node_id] = per_level_rows.get(lvl, 0)
-        per_level_rows[lvl] = row_offset[node_id] + entry.matrix.shape[0]
-        per_level_matrices[lvl].append(entry.matrix)
+    internal: list[int] = []
+    for node_id, geometry in enumerate(geometries):
+        if geometry is None:
+            continue
+        internal.append(node_id)
         kind[node_id] = _KIND_CODE[geometry.kind]
         if geometry.kind == "grid":
             gx[node_id] = geometry.gx
             gy[node_id] = geometry.gy
             cell_w[node_id] = geometry.cell_w
             cell_h[node_id] = geometry.cell_h
+        elif geometry.kind in ("split-x", "split-y"):
+            split[node_id] = geometry.split
         elif geometry.kind == "member":
             if sites is None:
                 sites = np.array(geometry.sites, dtype=float)
             elif not np.array_equal(sites, geometry.sites):
-                return None  # one snap per batch needs one site set
+                raise MechanismError("member nodes disagree on snap sites")
             if geometry.labels.shape != (sites.shape[0],):
-                return None
+                raise MechanismError(
+                    f"node {nodes[node_id].path}: {geometry.labels.shape[0]} "
+                    f"labels for {sites.shape[0]} snap sites"
+                )
             label_offset[node_id] = len(label_blocks) * sites.shape[0]
             label_blocks.append(geometry.labels)
-        else:
-            split[node_id] = geometry.split
-        degraded[node_id] = entry.degraded
-        source[node_id] = entry.source
-        reason[node_id] = entry.reason or ""
-    if label_blocks and len(label_blocks) != len(matrices):
-        return None  # a tree locates by membership or by boxes, not both
+    if label_blocks and len(label_blocks) != len(internal):
+        raise MechanismError("a tree locates by membership or by boxes")
 
-    cdf_levels = []
-    for lvl in range(n_levels):
-        mats = per_level_matrices[lvl]
-        if mats:
-            cdf_levels.append(np.concatenate([m.cdf for m in mats], axis=0))
-        else:
-            cdf_levels.append(np.empty((0, 0)))
-
-    return CompiledWalk(
+    boxes = [n.bounds for n in nodes]
+    min_x, min_y, max_x, max_y = np.array(
+        [(b.min_x, b.min_y, b.max_x, b.max_y) for b in boxes], dtype=float
+    ).T.copy()
+    # a plain IndexNode's centre is its box centre; subclasses (graph
+    # nodes) may override it
+    center_x, center_y = (min_x + max_x) / 2.0, (min_y + max_y) / 2.0
+    for node_id, node in enumerate(nodes):
+        if type(node) is not IndexNode:
+            center_x[node_id], center_y[node_id] = node.center
+    walk = CompiledWalk(
         kind=kind,
         min_x=min_x,
         min_y=min_y,
@@ -554,11 +622,11 @@ def compile_walk(
         split=split,
         center_x=center_x,
         center_y=center_y,
-        level=level,
-        child_start=child_start,
-        child_count=child_count,
-        child_ids=np.asarray(child_ids_list, dtype=np.int64),
-        row_offset=row_offset,
+        level=np.array([n.level for n in nodes], dtype=np.int64),
+        child_start=np.asarray(child_start, dtype=np.int64),
+        child_count=np.asarray(child_count, dtype=np.int64),
+        child_ids=np.asarray(child_ids, dtype=np.int64),
+        row_offset=np.full(n_nodes, -1, dtype=np.int64),
         label_offset=label_offset,
         member_labels=(
             np.concatenate(label_blocks).astype(np.int64)
@@ -566,11 +634,18 @@ def compile_walk(
             else np.empty(0, dtype=np.int64)
         ),
         snap_coords=sites if sites is not None else np.empty((0, 2)),
-        degraded=degraded,
-        source=source,
-        reason=reason,
-        cdf_levels=cdf_levels,
+        degraded=np.zeros(n_nodes, dtype=bool),
+        source=[""] * n_nodes,
+        reason=[""] * n_nodes,
+        cdf_levels=[
+            np.empty((0, fanout_of_level.get(lvl, 0)))
+            for lvl in range(n_levels)
+        ],
         budgets=budgets,
-        paths=[node.path for node in nodes],
-        cache_version=cache.version,
+        paths=[n.path for n in nodes],
+        cache_version=version,
+        nodes=nodes,
     )
+    cached = [(i, cache._peek(nodes[i].path)) for i in internal]
+    cached = [(i, entry) for i, entry in cached if entry is not None]
+    return walk.with_entries(*zip(*cached)) if cached else walk

@@ -17,9 +17,9 @@ track" at least ``rho`` per level for as long as the budget lasts.
 The walk itself lives in :mod:`repro.core.engine`: this class is a thin
 facade over one :class:`~repro.core.engine.WalkEngine`, so the scalar
 path (:meth:`MultiStepMechanism.sample_with_report`) and the batch path
-(:meth:`MultiStepMechanism.sanitize_batch`) are the *same* staged
-pipeline — a scalar call is a batch of one, byte-identical under a
-shared seed.
+(:meth:`MultiStepMechanism.sanitize_batch`) are the *same* compiled
+walk — a scalar call is a batch of one, byte-identical under a shared
+seed.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class MultiStepMechanism(Mechanism):
 
     @property
     def engine(self) -> WalkEngine:
-        """The staged walk engine everything below routes through."""
+        """The walk engine everything below routes through."""
         return self._engine
 
     @property

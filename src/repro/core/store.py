@@ -264,9 +264,9 @@ class MechanismStore:
         the builder's bits can never match a warm-starter's.  Every
         loader of the same bundle file computes identical bits, so
         compiling from a restore makes the sidecar bitwise-verifiable
-        at every future warm start.  An uncompilable tree just skips
-        the sidecar.  Same atomic write-and-checksum discipline as
-        bundles.
+        at every future warm start.  A restore that cannot hold the
+        whole tree (an evicting cache) just skips the sidecar.  Same
+        atomic write-and-checksum discipline as bundles.
         """
         bundle_path = self._root / f"msm-{fingerprint}.npz"
         try:
@@ -307,8 +307,8 @@ class MechanismStore:
         by ``load_bundle``) and only keeps serving if the sidecar
         matches that fresh compile bitwise.  A mismatch — stale file,
         bit rot below the checksum's radar, tampering — quarantines the
-        sidecar; the fresh compile is kept either way, so warm-started
-        engines always begin kernel-ready when their tree is compilable.
+        sidecar; the fresh compile is kept either way, so a
+        warm-started engine begins on a complete kernel snapshot.
         """
         compiled = msm.engine.compile(build=False)
         path = self._root / f"msm-{fingerprint}.kernel.npz"
@@ -354,12 +354,6 @@ class MechanismStore:
         from repro.serve.arena import MechanismArena
 
         compiled = msm.engine.compile(build=True)
-        if compiled is None:
-            raise MechanismError(
-                "mechanism tree is not compilable into an arena "
-                "(adaptive geometry, ragged fanout, or an evicting cache "
-                "too small to hold the tree)"
-            )
         target = directory if directory is not None else self.arena_dir_for(msm)
         arena = MechanismArena.freeze(compiled, target)
         if self._obs.enabled:

@@ -27,7 +27,7 @@ unchanged:
   child-slot labels this index already locates with, plus the vertex
   coordinates it snaps to.  The compiled kernel snaps each batch once
   and locates every level with one label gather, bitwise identical to
-  the staged path's per-node snap-and-lookup.
+  the index's own per-node snap-and-lookup.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ class HierarchicalGrid(SpatialIndex):
             return None
         b = node.bounds
         # Same expressions as locate_child_indices, so the compiled
-        # kernel's gathered arithmetic matches the staged path bitwise.
+        # kernel's gathered arithmetic matches this index bitwise.
         return ChildGeometry(
             kind="grid",
             fanout=self._g * self._g,

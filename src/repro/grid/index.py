@@ -81,13 +81,18 @@ class ChildGeometry:
     """Array description of one node's child layout.
 
     The compiled walk kernel locates points among a node's children with
-    pure array operations; this record is the per-node recipe.  Three
+    pure array operations; this record is the per-node recipe.  Four
     layouts compile:
 
     * ``kind="grid"`` — a regular ``gx x gy`` grid of equal cells, child
       position row-major ``row * gx + col``;
     * ``kind="split-x"`` / ``"split-y"`` — one axis-aligned binary
       split, child position the 0/1 side;
+    * ``kind="tiles"`` — the children's own boxes, scanned the way the
+      default :meth:`SpatialIndex.locate_child` scans them (first
+      half-open match, else the last closed match).  The kernel reads
+      the child bounds it already stores, so this is the default for
+      any box-tiled index (the STR index) and needs no extra fields;
     * ``kind="member"`` — membership, for regions that are not boxes
       (the road-network partition).  A point's *key* is the index of
       its nearest row of ``sites`` (an ``(k, 2)`` coordinate array
@@ -100,16 +105,11 @@ class ChildGeometry:
     fields must be the *same expressions* the index's own
     ``locate_child_indices`` computes (e.g. ``cell_w = bounds.width /
     g``), and ``sites`` must be the coordinates the index snaps to, so
-    the kernel's gathered arithmetic is bitwise identical to the staged
-    path's per-node locate.
-
-    Indexes with irregular box children (e.g. the STR index's quantile
-    tiling) return ``None`` from :meth:`SpatialIndex.child_geometry`,
-    which makes them uncompilable — the engine then stays on the staged
-    path.
+    the kernel's gathered arithmetic is bitwise identical to the
+    index's per-node locate.
     """
 
-    kind: str  # "grid" | "split-x" | "split-y" | "member"
+    kind: str  # "grid" | "split-x" | "split-y" | "tiles" | "member"
     fanout: int
     gx: int = 1
     gy: int = 1
@@ -227,12 +227,13 @@ class SpatialIndex(abc.ABC):
         )
 
     def child_geometry(self, node: IndexNode) -> "ChildGeometry | None":
-        """Compilable child layout of ``node``, or None if irregular.
+        """Compilable child layout of internal ``node``.
 
-        ``None`` (the default) marks the node as uncompilable: the walk
-        engine falls back to the staged path for the whole index.
+        The default locates among the children's own boxes
+        (``kind="tiles"``), which replays :meth:`locate_child`'s scan;
+        indexes with arithmetic or membership addressing override it.
         """
-        return None
+        return ChildGeometry(kind="tiles", fanout=len(self.children(node)))
 
     def max_height(self) -> int:
         """Maximum leaf depth of the index (root is depth 0)."""

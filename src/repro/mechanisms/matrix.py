@@ -139,8 +139,9 @@ class MechanismMatrix:
         ``rng.choice`` calls.  This is the batch-sanitisation hot path.
 
         The uniforms may be drawn by the caller and passed via ``u``
-        (one per index) — the walk engine does this so that staged and
-        compiled paths consume the RNG stream identically.
+        (one per index) — the reference walk of
+        :mod:`repro.testing.oracle` does this so that it consumes the
+        RNG stream exactly as the compiled kernel does.
         """
         idx = np.asarray(x_indices, dtype=np.int64).ravel()
         if u is None:
@@ -242,36 +243,3 @@ def invert_cdf_rows(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Float round-off can leave cdf[:, -1] a hair under 1.0; clamp so
     # a u drawn in that sliver still maps to the last output.
     return np.minimum(out, cdf_rows.shape[1] - 1).astype(np.int64)
-
-
-def stack_cdf_arena(matrices: Sequence[MechanismMatrix]) -> np.ndarray:
-    """Stack same-width mechanism CDFs into one contiguous row arena.
-
-    Rows of matrix ``m`` occupy the block starting at
-    ``sum(matrices[j].shape[0] for j < m)``; each block is bitwise equal
-    to that matrix's own :attr:`MechanismMatrix.cdf` (row-wise prefix
-    sums are independent of stacking).
-    """
-    if not matrices:
-        return np.empty((0, 0), dtype=float)
-    widths = {m.shape[1] for m in matrices}
-    if len(widths) != 1:
-        raise MechanismError(
-            f"cannot stack mixed-width matrices into one arena: {sorted(widths)}"
-        )
-    return np.concatenate([m.cdf for m in matrices], axis=0)
-
-
-def sample_arena_rows(
-    arena_cdf: np.ndarray, rows: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Cross-node row-gather sampling against a stacked CDF arena."""
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if np.any((rows < 0) | (rows >= arena_cdf.shape[0])):
-        raise MechanismError(
-            f"arena rows outside [0, {arena_cdf.shape[0]}): "
-            f"min={rows.min()}, max={rows.max()}"
-        )
-    return invert_cdf_rows(arena_cdf[rows], np.asarray(u, dtype=float).ravel())

@@ -17,9 +17,9 @@ Instrumentation is written so the disabled path costs almost nothing:
 * expensive span attributes (array reductions, path strings) are only
   computed when the yielded span object is not ``None``.
 
-The acceptance criterion (serial engine throughput within 3% of the
-pre-observability benchmark) is checked by ``benchmarks/bench_engine.py``
-which runs with :data:`NOOP` unless ``--metrics`` is passed.
+The acceptance criterion (the disabled path within 3% of
+uninstrumented) is priced by the repository benchmark's
+``trace.*_overhead_pct`` layers (``perfbench/run.py --trace 1``).
 
 Enabling
 --------

@@ -50,8 +50,9 @@ from repro.core.ledger import fsync_directory
 from repro.exceptions import ServeError
 
 #: Manifest format version (2: the membership arrays of graph walks;
-#: a format-1 arena lacks them and is refused at open).
-ARENA_FORMAT = 2
+#: 3: the box-tiles locate kind, which an older reader cannot walk).
+#: An arena of another format is refused at open.
+ARENA_FORMAT = 3
 
 #: ``to_arrays`` keys that are scalar metadata, not mappable arrays.
 _META_KEYS = ("budgets", "n_cdf_levels")
@@ -104,8 +105,14 @@ class MechanismArena:
         The manifest is written last and atomically, so a concurrent
         (or crashed) freeze can never publish a partial arena: either
         :meth:`open` finds a manifest whose checksums all verify, or it
-        finds no arena at all.
+        finds no arena at all.  A snapshot with pending nodes is
+        refused: a worker has no resolver, so it could not walk them.
         """
+        if not compiled.complete:
+            raise ArenaError(
+                "cannot freeze an incomplete kernel snapshot; compile it "
+                "with build=True first"
+            )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         flat = compiled.to_arrays()

@@ -156,6 +156,9 @@ class ShardBudgetBook:
                 if epsilon <= 0:
                     continue
                 self._account(user).restore(epsilon, label="ledger-replay")
+                # number on from the replayed spend, so no sequence is
+                # reused; failure charges may leave gaps
+                self._reports[user] = round(epsilon / self._per_report)
                 self.replayed_users += 1
                 self.replayed_epsilon += epsilon
             for entry_id in sorted(ledger.open_reservations()):
@@ -993,7 +996,6 @@ class ServingPool:
         """
         from repro.core.msm import MultiStepMechanism
         from repro.core.store import MechanismStore
-        from repro.exceptions import MechanismError
 
         msm = MultiStepMechanism.build(
             config.per_report_epsilon,
@@ -1017,10 +1019,6 @@ class ServingPool:
         else:
             msm.precompute()
             compiled = msm.engine.compile(build=True)
-            if compiled is None:
-                raise MechanismError(
-                    "mechanism tree is not compilable into an arena"
-                )
             if arena_dir is None:
                 owned = tempfile.TemporaryDirectory(prefix="repro-arena-")
                 arena_dir = owned.name

@@ -1,7 +1,9 @@
-"""Deterministic fault injection and chaos testing.
+"""Deterministic fault injection, chaos testing and the walk oracle.
 
-See :mod:`repro.testing.faults` for the LP-substrate fault rules and
-:mod:`repro.testing.chaos` for scripted crashes and byte corruption.
+See :mod:`repro.testing.faults` for the LP-substrate fault rules,
+:mod:`repro.testing.chaos` for scripted crashes and byte corruption,
+and :mod:`repro.testing.oracle` for the Algorithm-1 reference walk the
+compiled kernel is held to (imported from there, not re-exported).
 """
 
 from repro.testing.chaos import (

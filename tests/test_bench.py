@@ -378,14 +378,14 @@ class TestLiveTinyMatrix:
         assert a == b
 
     def test_registry_knows_smoke_and_full(self):
-        assert len(get_matrix("smoke")) == 10
+        assert len(get_matrix("smoke")) == 8
         assert len(get_matrix("full")) == 48
         with pytest.raises(EvaluationError, match="unknown benchmark"):
             get_matrix("nope")
         # The two extra smoke cells are the road-network pair, appended
         # after the planar cross product.
         cells = list(get_matrix("smoke").cells())
-        assert len(cells) == 10
+        assert len(cells) == 8
         assert [c.cell_id for c in cells[-2:]] == [
             "msm|graph-f4h2|graph-city|eps0.5",
             "msm|graph-f4h2|graph-city|eps1",
@@ -412,7 +412,7 @@ class TestGraphCells:
             )
 
     def test_graph_cells_are_msm_only(self):
-        with pytest.raises(EvaluationError, match="only the staged"):
+        with pytest.raises(EvaluationError, match="only the 'msm'"):
             CellSpec(
                 "pl",
                 IndexSpec(4, 2, kind="graph"),

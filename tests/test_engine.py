@@ -1,10 +1,11 @@
 """Tests for the unified walk engine (`repro.core.engine`).
 
 Covers the engine's load-bearing claims: the scalar path is a batch
-of one (byte-identical results under a shared seed), every stage works
-in isolation, and the optimal remap transforms outputs without ever
-touching the guarantee (the guarded step matrices are unchanged and the
-prior-expected loss never goes up).
+of one (byte-identical results under a shared seed), the locate,
+resolve and sample steps behave as Algorithm 1 says, and the optimal
+remap transforms outputs without ever touching the guarantee (the
+guarded step matrices are unchanged and the prior-expected loss never
+goes up).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.kdtree import KDTreeIndex
 from repro.grid.quadtree import QuadtreeIndex
 from repro.grid.regular import RegularGrid
+from repro.mechanisms.matrix import invert_cdf_rows
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import NodeMechanismCache
@@ -89,24 +91,22 @@ class TestStages:
         )
 
     def test_locate_snaps_inside_points(self, engine, rng):
-        root = engine.index.root
-        children = engine.index.children(root)
-        coords = np.asarray([[1.0, 1.0], [19.0, 19.0], [10.0, 1.0]])
-        x_hat, drifted = engine.locate(root, children, coords, rng)
-        assert x_hat.tolist() == [0, 8, 1]
-        assert not drifted.any()
+        pts = [Point(1.0, 1.0), Point(19.0, 19.0), Point(10.0, 1.0)]
+        walks = engine.run(pts, rng)
+        first = [w.trace[0] for w in walks]
+        assert [s.x_hat_index for s in first] == [0, 8, 1]
+        assert not any(s.x_hat_random for s in first)
 
     def test_locate_randomises_drifted_points(self, engine):
-        root = engine.index.root
-        children = engine.index.children(root)
-        coords = np.asarray([[-3.0, 5.0], [25.0, 25.0]])
+        pts = [Point(-3.0, 5.0), Point(25.0, 25.0)]
+        fanout = len(engine.index.children(engine.index.root))
         draws = set()
         for seed in range(30):
-            rng = np.random.default_rng(seed)
-            x_hat, drifted = engine.locate(root, children, coords, rng)
-            assert drifted.all()
-            assert ((0 <= x_hat) & (x_hat < len(children))).all()
-            draws.update(x_hat.tolist())
+            walks = engine.run(pts, np.random.default_rng(seed))
+            first = [w.trace[0] for w in walks]
+            assert all(s.x_hat_random for s in first)
+            assert all(0 <= s.x_hat_index < fanout for s in first)
+            draws.update(s.x_hat_index for s in first)
         assert len(draws) > 1  # actually random, not a constant fill
 
     def test_resolve_solves_once_then_hits_cache(self, engine):
@@ -128,12 +128,15 @@ class TestStages:
         assert engine.cache.builds == 0
 
     def test_sample_is_vectorised_cdf_inversion(self, engine):
+        """The kernel's cross-node CDF inversion draws exactly what the
+        node matrix's own ``sample_rows`` draws from the same uniforms."""
         root = engine.index.root
         children = engine.index.children(root)
         entry = engine.resolve(root, 1, children)
         x_hat = np.asarray([0, 4, 8, 4])
-        a = engine.sample(entry, x_hat, np.random.default_rng(17))
-        b = entry.matrix.sample_rows(x_hat, np.random.default_rng(17))
+        u = np.random.default_rng(17).random(x_hat.size)
+        a = invert_cdf_rows(entry.matrix.cdf[x_hat], u)
+        b = entry.matrix.sample_rows(x_hat, u=u)
         assert a.tolist() == b.tolist()
         assert ((0 <= a) & (a < len(children))).all()
 

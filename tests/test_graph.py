@@ -8,7 +8,7 @@ random weighted graphs), locate agreement between the scalar and
 vectorised paths, and an end-to-end walk with the privacy guard
 enabled at every node mechanism.  The compiled kernel walks the
 partition through its membership labels; ``TestGraphKernel`` holds it
-byte-identical to the staged walk and through persistence.
+byte-identical to the reference walk and through persistence.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.testing.faults import (
     FlakyCacheProxy,
     RaiseFault,
 )
+from repro.testing.oracle import assert_same_walks, oracle_walk
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +297,7 @@ class TestGraphPartitionIndex:
 
 class TestGraphWalk:
     def test_walk_unchanged_over_graph_nodes(self, graph_msm, city):
-        """The staged engine runs the graph index with no special-casing:
+        """The walk engine runs the graph index with no special-casing:
         every reported point is a stop-node medoid vertex."""
         rng = np.random.default_rng(0)
         xs = [city.vertex_point(v) for v in rng.integers(0, 64, 40)]
@@ -325,7 +326,7 @@ def _dead_solver() -> ResilientSolver:
 
 
 def _graph_pair(graph_msm, drop=None):
-    """Kernel and staged graph MSMs over independent copies of the warm
+    """Kernel and oracle graph MSMs over independent copies of the warm
     cache; ``drop`` loses one node's entry, which the outage solver
     then degrades to the exponential mechanism."""
 
@@ -345,13 +346,7 @@ def _graph_pair(graph_msm, drop=None):
             solver=None if drop is None else _dead_solver(),
         )
 
-    kernel_msm, staged_msm = make(), make()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedModeWarning)
-        kernel_msm.engine.kernel = "always"
-        assert kernel_msm.engine.compile() is not None
-    staged_msm.engine.kernel = "never"
-    return kernel_msm, staged_msm
+    return make(), make()
 
 
 def _outside_envelope_member(partition, city):
@@ -382,7 +377,7 @@ def _graph_workload(city, partition, seed: int, n: int = 60) -> list[Point]:
 
 
 class TestGraphKernel:
-    """The compiled walk over membership labels, against the staged
+    """The compiled walk over membership labels, against the reference
     walk it re-expresses."""
 
     def test_engine_compiles_to_member_nodes(self, graph_msm, city):
@@ -400,15 +395,15 @@ class TestGraphKernel:
     def test_kernel_matches_staged(self, graph_msm, city, partition,
                                    degraded, seed):
         drop = partition.children(partition.root)[1].path if degraded else None
-        kernel_msm, staged_msm = _graph_pair(graph_msm, drop)
+        kernel_msm, oracle_msm = _graph_pair(graph_msm, drop)
         points = _graph_workload(city, partition, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedModeWarning)
             a = kernel_msm.sanitize_batch(points, np.random.default_rng(seed))
-            b = staged_msm.sanitize_batch(points, np.random.default_rng(seed))
-        assert [w.point for w in a] == [w.point for w in b]
-        assert [w.trace for w in a] == [w.trace for w in b]
-        assert [w.degradation for w in a] == [w.degradation for w in b]
+            b = oracle_walk(
+                oracle_msm.engine, points, np.random.default_rng(seed)
+            )
+        assert_same_walks(a, b)
         assert any(s.x_hat_random for w in b for s in w.trace)
         if degraded:
             steps = [s for w in b for s in w.trace if s.node_path == drop]

@@ -98,11 +98,14 @@ class TestCacheAndPrecompute:
     def test_cache_reuse(self, msm2, rng):
         msm2.sample(Point(5, 5), rng)
         misses_after_first = msm2.cache.misses
+        builds_after_first = msm2.cache.builds
         msm2.sample(Point(5, 5), rng)
         # The root mechanism is cached; the level-2 node may differ per
-        # draw, but the root never misses again.
+        # draw, but the root never misses or builds again.  (A warm walk
+        # reads the kernel snapshot, so it counts no cache hit.)
         assert msm2.cache.misses <= misses_after_first + 1
-        assert msm2.cache.hits > 0
+        assert msm2.cache.builds <= builds_after_first + 1
+        assert () in msm2.cache
 
     def test_precompute_covers_reachable_tree(self, msm2):
         solved = msm2.precompute()

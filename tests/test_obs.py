@@ -266,20 +266,22 @@ class TestSpanTree:
         roots = obs.spans
         assert [r.name for r in roots] == ["walk"]
         walk = roots[0]
-        assert walk.attributes == {"n": 40, "path": "staged"}
+        assert walk.attributes == {"n": 40, "path": "kernel"}
         # one level span per index level, then the finalise stage
         assert walk.child_names() == ["level", "level", "finalise"]
         for depth, level in enumerate(walk.find("level"), start=1):
             assert level.attributes["level"] == depth
             assert level.attributes["epsilon"] == msm.budgets[depth - 1]
-            names = level.child_names()
-            # resolve first, then locate/sample/descend per node group
-            assert names[0] == "resolve"
-            assert names[1:] and len(names[1:]) % 3 == 0
-            for i in range(1, len(names), 3):
-                assert names[i : i + 3] == ["locate", "sample", "descend"]
+            # a cold level resolves its nodes first, then one pass each
+            assert level.child_names() == [
+                "resolve", "locate", "sample", "descend"
+            ]
         finalise = walk.find("finalise")[0]
         assert finalise.attributes == {"n": 40, "post": "none"}
+        # a warm level resolves nothing, so it opens no resolve span
+        msm.sanitize_batch(batch(40), np.random.default_rng(SEED))
+        for level in obs.spans[1].find("level"):
+            assert level.child_names() == ["locate", "sample", "descend"]
 
     def test_one_resolve_node_per_distinct_node(self, traced_walk):
         obs, msm, walks = traced_walk
@@ -367,7 +369,6 @@ class TestNoopIdentity:
         )
         for msm in (plain, observed):
             msm.precompute()
-            msm.engine.kernel = "always"
             assert msm.engine.compile(build=False) is not None
         points = batch(100)
         a = plain.sanitize_batch(points, np.random.default_rng(SEED))
@@ -575,7 +576,8 @@ class TestTelemetryVersusTruth:
         assert t is not None
         assert t.n_points == 50
         assert t.cache_builds == 0  # warm cache: nothing rebuilt
-        assert t.cache_hits > 0
+        # every node came from the kernel snapshot: no cache lookup
+        assert t.cache_hits == t.cache_misses == 0
         assert t.lp_seconds == 0.0
         assert t.wall_seconds > 0
         assert t.points_per_second > 0

@@ -360,6 +360,28 @@ class TestPoolRestart:
                 )
         assert runs[0] != runs[1]
 
+    def test_restart_continues_report_sequence(self, square20, tmp_path):
+        """A restarted ledgered pool numbers a user's next report after
+        the replayed ones: a sequence number is never handed out twice."""
+        pool = ServingPool.build(
+            GridPrior.uniform(RegularGrid(square20, 4)),
+            _config(lifetime=100.0, per_report=2.0),
+            workers=1,
+            granularity=2,
+            seed=SEED,
+            ledger_dir=tmp_path / "ledgers",
+        )
+        with pool:
+            first = [
+                pool.report("alice", Point(5.0, 5.0)).sequence
+                for _ in range(3)
+            ]
+        with pool:
+            report = pool.report("alice", Point(5.0, 5.0))
+        assert first == [0, 1, 2]
+        assert report.sequence == 3
+        assert report.epsilon_remaining == pytest.approx(92.0)
+
     def test_restart_without_ledger_refuses(self, frozen_arena):
         """Without journals the stopped workers took every user's spend
         with them; a restart would hand out fresh lifetimes, so it is
