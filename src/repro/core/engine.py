@@ -32,9 +32,10 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,9 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.msm import MultiStepMechanism
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """One level of an MSM walk, for inspection and tests."""
+class StepTrace(NamedTuple):
+    """One level of an MSM walk, for inspection and tests (immutable)."""
 
     level: int
     node_path: tuple[int, ...]
@@ -79,19 +79,30 @@ class StepTrace:
     mechanism: str = "opt"
 
 
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     """A sanitised point plus the full account of how it was produced.
 
-    ``raw_point`` is set by the finalise step (the optimal remap) to
-    the point the walk itself produced, so provenance survives the
-    output transformation; it is None when no remap ran.
+    Immutable and hashable.  ``raw_point`` is set by the finalise step
+    (the optimal remap) to the point the walk itself produced, so
+    provenance survives the output transformation; it is None when no
+    remap ran.
     """
 
     point: Point
     trace: tuple[StepTrace, ...]
     degradation: DegradationReport
     raw_point: Point | None = None
+
+
+#: The degradation report of every walk that ran on LP-optimal
+#: mechanisms only (immutable, so all clean walks share it).
+CLEAN = DegradationReport(())
+
+#: Build a result or step from one complete field tuple: the tuple
+#: constructor a NamedTuple's ``_make`` uses, without its per-call
+#: Python frame (the walk builds one per report and level).
+_new_result = partial(tuple.__new__, WalkResult)
+_new_step = partial(tuple.__new__, StepTrace)
 
 
 @dataclass(frozen=True)
@@ -223,21 +234,28 @@ class OptimalRemapPostProcessor:
             for z_index, w in enumerate(assignment)
         }
 
+    def remap(self, coords: np.ndarray) -> list[Point]:
+        """The remapped output of each ``(n, 2)`` walk output: one
+        array locate on the leaf grid, then a table gather."""
+        table = self.table
+        cells = self._leaf_grid.locate_indices(coords)
+        outside = np.flatnonzero(cells < 0)
+        if outside.size:
+            x, y = coords[outside[0]].tolist()
+            raise MechanismError(
+                f"walk output {Point(x, y)} is outside the remap "
+                f"table's leaf grid; was the index changed after the "
+                f"table was built?"
+            )
+        return list(map(table.__getitem__, cells.tolist()))
+
     def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
         """Remap every walk output, keeping it as ``raw_point``."""
-        table = self.table
-        grid = self._leaf_grid
-        out: list[WalkResult] = []
-        for walk in results:
-            if not grid.bounds.contains(walk.point):
-                raise MechanismError(
-                    f"walk output {walk.point} is outside the remap "
-                    f"table's leaf grid; was the index changed after the "
-                    f"table was built?"
-                )
-            remapped = table[grid.locate(walk.point).index]
-            out.append(replace(walk, point=remapped, raw_point=walk.point))
-        return out
+        remapped = self.remap(points_to_array([w.point for w in results]))
+        return [
+            w._replace(point=point, raw_point=w.point)
+            for w, point in zip(results, remapped)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -248,9 +266,9 @@ class WalkEngine:
 
     The engine owns the walk configuration (index, per-level budgets,
     prior, metrics, resilient solver, guard/degrade policy, node cache)
-    and the kernel snapshot, and exposes the steps the kernel calls
-    back into — :meth:`resolve_many` (cache or solve) and
-    :meth:`finalise` — plus the :meth:`walk` loop.
+    and the kernel snapshot, and exposes the step the kernel calls
+    back into — :meth:`resolve_many` (cache or solve) — plus the
+    :meth:`walk` loop and its points-only twin :meth:`sample_many`.
     :class:`~repro.core.msm.MultiStepMechanism` is a thin facade over an
     engine.  ``postprocessor`` is the optional finalise step (the
     optimal remap), wired by
@@ -404,15 +422,21 @@ class WalkEngine:
             self._compiled = compiled
 
     def _snapshot(self) -> CompiledWalk:
-        """The current snapshot, rebuilt when the cache has since
-        evicted, replaced or cleared entries."""
+        """The current snapshot.  When the cache has since evicted,
+        replaced or cleared entries, a stale snapshot keeps its
+        topology and refills its rows from the cache; one without index
+        nodes (loaded from arrays) is compiled afresh."""
         compiled = self._compiled
         version = self._cache.version
         if compiled is None or compiled.cache_version != version:
             with self._lock:
                 compiled = self._compiled
                 if compiled is None or compiled.cache_version != version:
-                    compiled = self._compiled = compile_walk(self)
+                    compiled = self._compiled = (
+                        compile_walk(self)
+                        if compiled is None or compiled.nodes is None
+                        else compiled.refilled(self._cache)
+                    )
         return compiled
 
     def _grow(
@@ -452,7 +476,7 @@ class WalkEngine:
         return [entries[path] for path in group_nodes]
 
     # ------------------------------------------------------------------
-    # entry point
+    # entry points
     # ------------------------------------------------------------------
     def run(
         self,
@@ -467,17 +491,28 @@ class WalkEngine:
         materialisation (results carry an empty trace tuple); sampled
         points, degradation reports and telemetry are unaffected.
         """
-        points = list(points)
+        return self._metered(self.walk, list(points), rng, trace)
+
+    def sample_many(
+        self, points: Sequence[Point], rng: np.random.Generator
+    ) -> list[Point]:
+        """Like :meth:`run`, but return only the reported points: the
+        same walk and random stream, with no result objects built."""
+        return self._metered(self._walk_points, list(points), rng)
+
+    def _metered(self, walk, points: list[Point], rng, *args):
+        """``walk(points, rng, *args)``, counted and timed as one batch
+        when observability is on."""
         if not self._obs.enabled or not points:
-            return self.walk(points, rng, trace=trace)
+            return walk(points, rng, *args)
         metrics = self._obs.metrics
         start = time.perf_counter()
-        results = self.walk(points, rng, trace=trace)
+        out = walk(points, rng, *args)
         elapsed = time.perf_counter() - start
         metrics.counter("repro_walk_batches_total").inc()
         metrics.counter("repro_walk_points_total").inc(len(points))
         metrics.histogram("repro_sanitize_seconds").observe(elapsed)
-        return results
+        return out
 
     def run_report(
         self,
@@ -534,101 +569,149 @@ class WalkEngine:
         ``trace=True``, full :class:`StepTrace` provenance).  The fused
         loop in :meth:`CompiledWalk.walk_arrays` touches no Python
         objects; nodes the cache lacks are resolved level by level
-        through :meth:`resolve_many` before the level draws, and traces
-        and degradation reports are materialised afterwards from the
-        per-level arrays — only when requested (``trace=True``) or for
-        the (usually empty) degraded subset.  Telemetry counters are
-        computed exactly from the same arrays.  A batch of one *is* the
-        scalar path.
+        through :meth:`resolve_many` before the level draws, and
+        results are built once afterwards from the per-level arrays:
+        traces only when requested, degradation reports only for the
+        (usually empty) degraded subset — every clean walk shares
+        :data:`CLEAN`.  Telemetry counters are computed exactly from
+        the same arrays.  A batch of one *is* the scalar path.
         """
         points = list(points)
+        n = len(points)
+        if n == 0:
+            return []
+        with self._obs.tracer.span("walk", n=n, path="kernel"):
+            compiled, final_ids, levels = self._walk_ids(points, rng)
+            outputs, walked = self._outputs(compiled, final_ids, keep_raw=True)
+            reports = self._reports(compiled, levels, n)
+            traces = self._traces(compiled, levels, n) if trace else None
+            fields = zip(
+                outputs,
+                repeat(()) if traces is None else traces,
+                repeat(CLEAN) if reports is None else reports,
+                repeat(None) if walked is None else walked,
+            )
+            return list(map(_new_result, fields))
+
+    def _walk_points(
+        self, points: list[Point], rng: np.random.Generator
+    ) -> list[Point]:
+        """:meth:`walk`'s reported points alone."""
         if not points:
             return []
+        with self._obs.tracer.span("walk", n=len(points), path="kernel"):
+            compiled, final_ids, _ = self._walk_ids(points, rng)
+            return self._outputs(compiled, final_ids, keep_raw=False)[0]
+
+    def _walk_ids(
+        self, points: list[Point], rng: np.random.Generator
+    ) -> tuple[CompiledWalk, np.ndarray, list[LevelArrays]]:
+        """Run the kernel over ``points``; return the snapshot grown by
+        its first visits, each point's final node id and the per-level
+        arrays.  Records the step metrics when observability is on."""
         compiled = self._snapshot()
         if compiled.child_count[0] == 0:
             raise MechanismError(
                 "index root has no children; nothing to report"
             )
-        coords = points_to_array(points)
-        n = coords.shape[0]
         obs = self._obs
-        tracer = obs.tracer
 
         def resolve(walk: CompiledWalk, level: int, ids: np.ndarray):
             nonlocal compiled
             compiled = self._grow(walk, level, ids)
             return compiled
 
-        with tracer.span("walk", n=n, path="kernel"):
-            final_ids, levels = compiled.walk_arrays(
-                coords,
-                rng,
-                tracer=tracer if obs.enabled else None,
-                resolve=resolve,
-            )
-            degraded_mask = np.zeros(n, dtype=bool)
+        final_ids, levels = compiled.walk_arrays(
+            points_to_array(points),
+            rng,
+            tracer=obs.tracer if obs.enabled else None,
+            resolve=resolve,
+        )
+        if obs.enabled:
+            degraded = np.zeros(final_ids.size, dtype=bool)
             for ld in levels:
-                node_degraded = compiled.degraded[ld.ids]
-                if node_degraded.any():
-                    degraded_mask[ld.active[node_degraded]] = True
-                if obs.enabled:
-                    self._record_level_arrays(ld, compiled)
-            traces: list[list[StepTrace]] | None = (
-                [[] for _ in range(n)] if trace else None
+                self._record_level_arrays(ld, compiled)
+                degraded[ld.active[compiled.degraded[ld.ids]]] = True
+            obs.metrics.counter("repro_walk_degraded_walks_total").inc(
+                int(degraded.sum())
             )
-            substitutions: dict[int, list[DegradedNode]] = {}
-            if trace or degraded_mask.any():
-                for ld in levels:
-                    eps = compiled.budgets[ld.level - 1]
-                    if traces is not None:
-                        for pos in range(ld.active.size):
-                            i = int(ld.active[pos])
-                            node_id = int(ld.ids[pos])
-                            traces[i].append(
-                                StepTrace(
-                                    level=ld.level,
-                                    node_path=compiled.paths[node_id],
-                                    x_hat_index=int(ld.x_hat[pos]),
-                                    x_hat_random=bool(ld.drifted[pos]),
-                                    reported_index=int(ld.reported[pos]),
-                                    degraded=bool(
-                                        compiled.degraded[node_id]
-                                    ),
-                                    mechanism=compiled.source[node_id],
-                                )
-                            )
-                    for pos in np.flatnonzero(compiled.degraded[ld.ids]):
-                        i = int(ld.active[pos])
-                        node_id = int(ld.ids[pos])
-                        substitutions.setdefault(i, []).append(
-                            DegradedNode(
-                                node_path=compiled.paths[node_id],
-                                level=ld.level,
-                                epsilon=eps,
-                                fallback=compiled.source[node_id],
-                                reason=compiled.reason[node_id] or "",
-                            )
-                        )
-            clean_report = DegradationReport(())
-            out_x = compiled.center_x[final_ids].tolist()
-            out_y = compiled.center_y[final_ids].tolist()
-            results = [
-                WalkResult(
-                    point=Point(out_x[i], out_y[i]),
-                    trace=tuple(traces[i]) if traces is not None else (),
-                    degradation=(
-                        DegradationReport(tuple(substitutions[i]))
-                        if i in substitutions
-                        else clean_report
-                    ),
+        return compiled, final_ids, levels
+
+    def _outputs(
+        self, compiled: CompiledWalk, final_ids: np.ndarray, keep_raw: bool
+    ) -> tuple[list[Point], list[Point] | None]:
+        """The finalise step: each walk's reported point — its final
+        node's centre, remapped when a remap is wired — and, with
+        ``keep_raw`` and a remap, the walk's own points (else None)."""
+        post = self.postprocessor
+        with self._obs.tracer.span(
+            "finalise",
+            n=final_ids.size,
+            post="none" if post is None else post.name,
+        ):
+            remapped = None if post is None else post.remap(
+                np.column_stack(
+                    (compiled.center_x[final_ids], compiled.center_y[final_ids])
                 )
-                for i in range(n)
-            ]
-            if obs.enabled:
-                obs.metrics.counter("repro_walk_degraded_walks_total").inc(
-                    int(degraded_mask.sum())
+            )
+        if remapped is not None and not keep_raw:
+            return remapped, None
+        walked = list(map(compiled.center_points.__getitem__, final_ids.tolist()))
+        return (walked, None) if remapped is None else (remapped, walked)
+
+    @staticmethod
+    def _reports(
+        compiled: CompiledWalk, levels: list[LevelArrays], n: int
+    ) -> list[DegradationReport] | None:
+        """Each walk's degradation report; None when every walk is
+        clean."""
+        substitutions: dict[int, list[DegradedNode]] = {}
+        for ld in levels:
+            hit = np.flatnonzero(compiled.degraded[ld.ids])
+            eps = compiled.budgets[ld.level - 1]
+            for i, node_id in zip(
+                ld.active[hit].tolist(), ld.ids[hit].tolist()
+            ):
+                substitutions.setdefault(i, []).append(
+                    DegradedNode(
+                        node_path=compiled.paths[node_id],
+                        level=ld.level,
+                        epsilon=eps,
+                        fallback=compiled.source[node_id],
+                        reason=compiled.reason[node_id] or "",
+                    )
                 )
-            return self.finalise(results)
+        if not substitutions:
+            return None
+        reports = [CLEAN] * n
+        for i, nodes in substitutions.items():
+            reports[i] = DegradationReport(tuple(nodes))
+        return reports
+
+    @staticmethod
+    def _traces(
+        compiled: CompiledWalk, levels: list[LevelArrays], n: int
+    ) -> list[tuple[StepTrace, ...]]:
+        """Each walk's per-level :class:`StepTrace` tuple, read from the
+        level arrays through one ``tolist`` each."""
+        paths = compiled.paths.__getitem__
+        degraded = compiled.degraded.tolist().__getitem__
+        source = compiled.source.__getitem__
+        traces: list[list[StepTrace]] = [[] for _ in range(n)]
+        for ld in levels:
+            ids = ld.ids.tolist()
+            steps = zip(
+                repeat(ld.level),
+                map(paths, ids),
+                ld.x_hat.tolist(),
+                ld.drifted.tolist(),
+                ld.reported.tolist(),
+                map(degraded, ids),
+                map(source, ids),
+            )
+            for i, step in zip(ld.active.tolist(), map(_new_step, steps)):
+                traces[i].append(step)
+        return list(map(tuple, traces))
 
     def _record_level_arrays(
         self, ld: LevelArrays, compiled: CompiledWalk
@@ -793,16 +876,3 @@ class WalkEngine:
         if total <= 0:
             return np.full(len(children), 1.0 / len(children))
         return masses / total
-
-    # -- finalise -------------------------------------------------------
-    def finalise(self, results: list[WalkResult]) -> list[WalkResult]:
-        """Apply the optimal remap, when one is wired."""
-        post = self.postprocessor
-        with self._obs.tracer.span(
-            "finalise",
-            n=len(results),
-            post="none" if post is None else post.name,
-        ):
-            if post is None or not results:
-                return results
-            return post.finalise(results)

@@ -43,8 +43,10 @@ bitwise identical to the Algorithm-1 reference walk in
 equality on every index in the repository.
 
 A compiled walk records the cache ``version`` it was built against;
-the engine rebuilds it when the cache has since evicted, replaced or
-cleared entries — the eviction→invalidation contract.
+when the cache has since evicted, replaced or cleared entries the
+engine refills its CDF rows from the cache
+(:meth:`CompiledWalk.refilled`) — the eviction→invalidation contract.
+Topology and geometry never depend on the cache, so they are kept.
 """
 
 from __future__ import annotations
@@ -56,12 +58,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.exceptions import MechanismError
+from repro.geo.point import Point
 from repro.grid.index import IndexNode
 from repro.mechanisms.matrix import invert_cdf_rows
 from repro.obs import NOOP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.cache import CacheEntry
+    from repro.core.cache import CacheEntry, NodeMechanismCache
     from repro.core.engine import WalkEngine
 
 #: ``kind`` codes (int8): how a node's children are located.
@@ -164,6 +167,10 @@ class CompiledWalk:
     complete: bool = field(init=False, repr=False, compare=False)
     #: nearest-site tree over ``snap_coords``, built on first snap
     _snap_tree: cKDTree | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: every node's centre as a :class:`Point`, built on first use
+    _center_points: list[Point] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -358,6 +365,18 @@ class CompiledWalk:
         )
         return np.where(closed.any(axis=1), slot, -1)
 
+    @property
+    def center_points(self) -> list[Point]:
+        """Every node's centre (the point a walk ending there reports)
+        as a :class:`Point`, indexed by node id.  Built once per tree
+        and shared by every grown or refilled snapshot, so a batch's
+        outputs are one gather over immutable points."""
+        if self._center_points is None:
+            self._center_points = list(
+                map(Point, self.center_x.tolist(), self.center_y.tolist())
+            )
+        return self._center_points
+
     def _snap(self, coords: np.ndarray) -> np.ndarray:
         """Key of each ``(m, 2)`` coordinate: its nearest site's index.
 
@@ -409,16 +428,38 @@ class CompiledWalk:
             reason[node_id] = entry.reason or ""
         for lvl, rows in blocks.items():
             cdf_levels[lvl] = np.concatenate([cdf_levels[lvl], *rows])
-        grown = replace(
-            self,
+        return self._with_rows(
             row_offset=row_offset,
             degraded=degraded,
             source=source,
             reason=reason,
             cdf_levels=cdf_levels,
         )
-        grown._snap_tree = self._snap_tree
-        return grown
+
+    def refilled(self, cache: "NodeMechanismCache") -> "CompiledWalk":
+        """This tree's topology and geometry with every CDF row taken
+        from ``cache`` afresh, stamped with the cache's version.
+
+        Rows come from the cache's counter-neutral ``_peek``; a node
+        the cache lacks (or has evicted) is pending again and resolves
+        on its next visit.  Needs the snapshot's ``nodes``.
+        """
+        version = cache.version  # read first: a later change makes us stale
+        cached = [
+            (node_id, cache._peek(self.nodes[node_id].path))
+            for node_id in np.flatnonzero(self.child_count > 0).tolist()
+        ]
+        cached = [(i, entry) for i, entry in cached if entry is not None]
+        n_nodes = self.n_nodes
+        empty = self._with_rows(
+            row_offset=np.full(n_nodes, -1, dtype=np.int64),
+            degraded=np.zeros(n_nodes, dtype=bool),
+            source=[""] * n_nodes,
+            reason=[""] * n_nodes,
+            cdf_levels=[np.empty((0, cdf.shape[1])) for cdf in self.cdf_levels],
+            cache_version=version,
+        )
+        return empty.with_entries(*zip(*cached)) if cached else empty
 
     def packed(self) -> "CompiledWalk":
         """The same snapshot with every level's rows in node-id order —
@@ -432,9 +473,15 @@ class CompiledWalk:
             rows = self.row_offset[ids][:, None] + np.arange(fanout)
             cdf_levels.append(cdf[rows.ravel()])
             row_offset[ids] = np.arange(ids.size) * fanout
-        packed = replace(self, row_offset=row_offset, cdf_levels=cdf_levels)
-        packed._snap_tree = self._snap_tree
-        return packed
+        return self._with_rows(row_offset=row_offset, cdf_levels=cdf_levels)
+
+    def _with_rows(self, **changes: Any) -> "CompiledWalk":
+        """``dataclasses.replace`` over row state, keeping the caches
+        built from the geometry (snap tree, centre points)."""
+        out = replace(self, **changes)
+        out._snap_tree = self._snap_tree
+        out._center_points = self._center_points
+        return out
 
     # ------------------------------------------------------------------
     # persistence / comparison
@@ -525,8 +572,6 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
     index = engine.index
     budgets = engine.budgets
     n_levels = len(budgets)
-    cache = engine.cache
-    version = cache.version  # read first: a later change makes us stale
 
     nodes = [index.root]
     child_start: list[int] = []
@@ -571,11 +616,11 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
     label_offset = np.full(n_nodes, -1, dtype=np.int64)
     label_blocks: list[np.ndarray] = []
     sites: np.ndarray | None = None
-    internal: list[int] = []
+    n_internal = 0
     for node_id, geometry in enumerate(geometries):
         if geometry is None:
             continue
-        internal.append(node_id)
+        n_internal += 1
         kind[node_id] = _KIND_CODE[geometry.kind]
         if geometry.kind == "grid":
             gx[node_id] = geometry.gx
@@ -596,7 +641,7 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
                 )
             label_offset[node_id] = len(label_blocks) * sites.shape[0]
             label_blocks.append(geometry.labels)
-    if label_blocks and len(label_blocks) != len(internal):
+    if label_blocks and len(label_blocks) != n_internal:
         raise MechanismError("a tree locates by membership or by boxes")
 
     boxes = [n.bounds for n in nodes]
@@ -643,9 +688,6 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
         ],
         budgets=budgets,
         paths=[n.path for n in nodes],
-        cache_version=version,
         nodes=nodes,
     )
-    cached = [(i, cache._peek(nodes[i].path)) for i in internal]
-    cached = [(i, entry) for i, entry in cached if entry is not None]
-    return walk.with_entries(*zip(*cached)) if cached else walk
+    return walk.refilled(engine.cache)

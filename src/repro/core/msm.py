@@ -413,11 +413,11 @@ class MultiStepMechanism(Mechanism):
         self, xs: Sequence[Point], rng: np.random.Generator
     ) -> list[Point]:
         """Batch sanitisation via the vectorised walk (same distribution
-        as per-point :meth:`sample`, far higher throughput).  Nobody
-        reads traces here, so none are materialised."""
-        return [
-            walk.point for walk in self.sanitize_batch(xs, rng, trace=False)
-        ]
+        as per-point :meth:`sample`, far higher throughput).  Only the
+        reported points are built: no traces, reports or result
+        objects; byte-identical to the ``point`` fields of
+        :meth:`sanitize_batch` under a shared seed."""
+        return self._engine.sample_many(xs, rng)
 
     def degradation_summary(self) -> DegradationReport:
         """Substitutions across every node solved so far (whole cache)."""

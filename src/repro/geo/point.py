@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -62,23 +63,30 @@ class Point:
         return (self.x, self.y)
 
 
+_get_x = attrgetter("x")
+_get_y = attrgetter("y")
+
+
 def points_to_array(points: Sequence[Point]) -> np.ndarray:
     """Pack a point sequence into an ``(n, 2)`` float64 coordinate array.
 
     The one shared conversion between the object world (lists of
     :class:`Point`) and the array world (vectorised engine / mechanism
     kernels); an empty sequence yields a ``(0, 2)`` array so callers
-    never special-case it.
+    never special-case it.  Each column is read in one ``np.fromiter``
+    pass, with no intermediate per-point tuples.
     """
-    return np.asarray(
-        [(p.x, p.y) for p in points], dtype=float
-    ).reshape(-1, 2)
+    n = len(points)
+    coords = np.empty((n, 2))
+    coords[:, 0] = np.fromiter(map(_get_x, points), float, n)
+    coords[:, 1] = np.fromiter(map(_get_y, points), float, n)
+    return coords
 
 
 def array_to_points(coords: np.ndarray) -> list[Point]:
     """Unpack an ``(n, 2)`` coordinate array into a list of :class:`Point`."""
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-    return [Point(float(x), float(y)) for x, y in coords]
+    return list(map(Point, coords[:, 0].tolist(), coords[:, 1].tolist()))
 
 
 def centroid(points: list[Point]) -> Point:

@@ -141,34 +141,34 @@ class RegularGrid:
         gx, gy = np.meshgrid(xs, ys)  # gy varies by row, gx by col
         return np.column_stack([gx.ravel(), gy.ravel()])
 
+    def locate_indices(self, coords: np.ndarray) -> np.ndarray:
+        """Row-major cell index of each ``(n, 2)`` coordinate; -1 for a
+        coordinate outside the grid bounds.
+
+        The array form of :meth:`locate`, computed with the same
+        expressions, so the two agree on every edge point.
+        """
+        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+        b = self._bounds
+        x, y = coords[:, 0], coords[:, 1]
+        inside = (x >= b.min_x) & (x <= b.max_x) & (y >= b.min_y) & (y <= b.max_y)
+        cols = np.minimum(
+            ((x[inside] - b.min_x) / self._cell_w).astype(np.int64), self._g - 1
+        )
+        rows = np.minimum(
+            ((y[inside] - b.min_y) / self._cell_h).astype(np.int64), self._g - 1
+        )
+        index = np.full(coords.shape[0], -1, dtype=np.int64)
+        index[inside] = rows * self._g + cols
+        return index
+
     def histogram(self, points: Sequence[Point]) -> np.ndarray:
         """Count points per cell; out-of-bounds points are ignored.
 
         Returns a length ``n_cells`` integer array in row-major order.
         """
-        counts = np.zeros(self.n_cells, dtype=np.int64)
-        if not points:
-            return counts
-        arr = points_to_array(points)
-        inside = (
-            (arr[:, 0] >= self._bounds.min_x)
-            & (arr[:, 0] <= self._bounds.max_x)
-            & (arr[:, 1] >= self._bounds.min_y)
-            & (arr[:, 1] <= self._bounds.max_y)
-        )
-        arr = arr[inside]
-        if arr.size == 0:
-            return counts
-        cols = np.minimum(
-            ((arr[:, 0] - self._bounds.min_x) / self._cell_w).astype(np.int64),
-            self._g - 1,
-        )
-        rows = np.minimum(
-            ((arr[:, 1] - self._bounds.min_y) / self._cell_h).astype(np.int64),
-            self._g - 1,
-        )
-        np.add.at(counts, rows * self._g + cols, 1)
-        return counts
+        index = self.locate_indices(points_to_array(points))
+        return np.bincount(index[index >= 0], minlength=self.n_cells)
 
     def neighbors(self, cell: Cell, diagonal: bool = False) -> list[Cell]:
         """Return the 4- (or 8-, with ``diagonal=True``) neighbourhood of a cell."""

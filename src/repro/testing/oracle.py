@@ -12,7 +12,7 @@ one ``rng.random(n_active)`` block, both in ascending batch order — so
 on a shared seed the kernel must reproduce its points, traces and
 degradation reports byte for byte (:func:`assert_same_walks`).  It
 records no spans or metrics; the remap, when wired, runs through the
-engine's own ``finalise``.
+engine's own post-processor.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def oracle_walk(
         )
         for i in range(n)
     ]
-    return engine.finalise(results)
+    post = engine.postprocessor
+    return results if post is None else post.finalise(results)
 
 
 def assert_same_walks(

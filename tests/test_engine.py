@@ -15,7 +15,7 @@ import pytest
 
 from repro.exceptions import MechanismError
 from repro.geo.bbox import BoundingBox
-from repro.geo.point import Point
+from repro.geo.point import Point, points_to_array
 from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.kdtree import KDTreeIndex
 from repro.grid.quadtree import QuadtreeIndex
@@ -24,7 +24,14 @@ from repro.mechanisms.matrix import invert_cdf_rows
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import NodeMechanismCache
-from repro.core.engine import OptimalRemapPostProcessor, WalkEngine
+from repro.core.engine import (
+    CLEAN,
+    OptimalRemapPostProcessor,
+    StepTrace,
+    WalkEngine,
+    WalkResult,
+)
+from repro.core.resilience import DegradationReport
 from repro.core.msm import MultiStepMechanism
 
 
@@ -78,6 +85,100 @@ class TestScalarIsBatchOfOne:
         points = msm2.sample_many(xs, np.random.default_rng(13))
         walks = msm2.sanitize_batch(xs, np.random.default_rng(13))
         assert points == [w.point for w in walks]
+
+    @pytest.mark.parametrize("remap", [False, True], ids=["plain", "remap"])
+    def test_sample_many_is_traceless_batch_points(
+        self, square20, uniform9, remap
+    ):
+        """``sample_many`` builds no result objects, yet reports exactly
+        the points a traceless batch reports, remap or not."""
+        msm = MultiStepMechanism(
+            HierarchicalGrid(square20, 3, 2), (0.5, 0.7), uniform9,
+            remap=remap,
+        )
+        xs = uniform_points(300, seed=21) + [Point(-1.0, 5.0)]
+        points = msm.sample_many(xs, np.random.default_rng(17))
+        walks = msm.sanitize_batch(xs, np.random.default_rng(17), trace=False)
+        assert points == [w.point for w in walks]
+        assert all(type(p) is Point for p in points)
+        if remap:
+            assert all(w.raw_point is not None for w in walks)
+
+
+# ----------------------------------------------------------------------
+# the result types: a pinned public contract
+# ----------------------------------------------------------------------
+class TestResultTypes:
+    def _step(self) -> StepTrace:
+        return StepTrace(
+            level=1, node_path=(0,), x_hat_index=2, x_hat_random=False,
+            reported_index=3, degraded=True, mechanism="exponential",
+        )
+
+    def test_keyword_construction_and_fields(self):
+        step = self._step()
+        assert (step.level, step.node_path, step.x_hat_index) == (1, (0,), 2)
+        assert (step.x_hat_random, step.reported_index) == (False, 3)
+        assert (step.degraded, step.mechanism) == (True, "exponential")
+        plain = StepTrace(
+            level=2, node_path=(0, 1), x_hat_index=0, x_hat_random=True,
+            reported_index=0,
+        )
+        assert (plain.degraded, plain.mechanism) == (False, "opt")
+        walk = WalkResult(
+            point=Point(1.0, 2.0), trace=(step,),
+            degradation=DegradationReport(()),
+        )
+        assert walk.point == Point(1.0, 2.0)
+        assert walk.trace == (step,)
+        assert walk.degradation.clean
+        assert walk.raw_point is None
+        remapped = WalkResult(
+            point=Point(1.0, 2.0), trace=(), degradation=CLEAN,
+            raw_point=Point(3.0, 4.0),
+        )
+        assert remapped.raw_point == Point(3.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "field", ["point", "trace", "degradation", "raw_point"]
+    )
+    def test_results_are_immutable(self, field):
+        walk = WalkResult(point=Point(1.0, 2.0), trace=(), degradation=CLEAN)
+        with pytest.raises(AttributeError):
+            setattr(walk, field, None)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["level", "node_path", "x_hat_index", "x_hat_random",
+         "reported_index", "degraded", "mechanism"],
+    )
+    def test_steps_are_immutable(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self._step(), field, None)
+
+    def test_results_are_hashable(self, msm2):
+        walks = msm2.sanitize_batch(
+            uniform_points(20, seed=3), np.random.default_rng(3)
+        )
+        assert len({hash(w) for w in walks}) > 1
+        assert {walks[0], walks[0]} == {walks[0]}
+        assert hash(self._step()) == hash(self._step())
+
+    def test_clean_walks_share_one_report(self, msm2):
+        walks = msm2.sanitize_batch(
+            uniform_points(20, seed=3), np.random.default_rng(3), trace=False
+        )
+        assert all(w.degradation is CLEAN for w in walks)
+        assert all(w.trace == () for w in walks)
+
+    def test_points_to_array(self):
+        empty = points_to_array([])
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
+        assert points_to_array([Point(1.5, -2.0)]).tolist() == [[1.5, -2.0]]
+        pts = uniform_points(50, seed=8)
+        coords = points_to_array(pts)
+        assert coords.shape == (50, 2)
+        assert coords.tolist() == [[p.x, p.y] for p in pts]
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +348,6 @@ class TestOptimalRemap:
         ]
         assert moved
         # and a walk that lands on a moved leaf really is rerouted
-        from repro.core.engine import WalkResult
-        from repro.core.resilience import DegradationReport
-
         landed = WalkResult(
             point=leaf_grid.cell_by_index(moved[0]).bounds.center,
             trace=(),
@@ -258,6 +356,16 @@ class TestOptimalRemap:
         (finalised,) = msm.postprocessor.finalise([landed])
         assert finalised.raw_point == landed.point
         assert leaf_grid.locate(finalised.point).index != moved[0]
+
+    def test_output_off_the_leaf_grid_is_refused(self, msm_remap):
+        stray = WalkResult(
+            point=Point(25.0, 5.0), trace=(), degradation=CLEAN
+        )
+        with pytest.raises(
+            MechanismError, match=r"walk output Point\(x=25.0, y=5.0\) is "
+            r"outside the remap table's leaf grid"
+        ):
+            msm_remap.postprocessor.finalise([stray])
 
     def test_step_matrices_still_pass_the_guard(self, msm_remap, rng):
         """Remap is output-only: every matrix the engine sampled from

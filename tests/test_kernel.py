@@ -264,6 +264,28 @@ class TestCompileContract:
             )
         assert kernel.cache.evictions > 0
 
+    def test_eviction_refills_rows_without_recompiling(self, monkeypatch):
+        """Topology never depends on the cache: after an eviction the
+        stale snapshot keeps it and only refills its rows, so an
+        evicting cache compiles the tree once, not once per batch."""
+        import repro.core.engine as engine_module
+
+        calls = []
+
+        def counting_compile(engine):
+            calls.append(engine)
+            return compile_walk(engine)
+
+        monkeypatch.setattr(engine_module, "compile_walk", counting_compile)
+        msm = _gihi_msm(
+            granularity=3, height=3, cache=NodeMechanismCache(max_bytes=1944)
+        )
+        rng = np.random.default_rng(SEED)
+        for _ in range(20):
+            msm.sanitize_batch(_sample_points(4), rng)
+        assert msm.cache.evictions > 0
+        assert len(calls) == 1
+
     def test_cold_walk_builds_missing_entries(self):
         msm = _gihi_msm(granularity=2)
         walks = msm.sanitize_batch(
