@@ -77,7 +77,7 @@ class LoadSpec:
         n_users: int = 200,
         zipf_s: float = 1.1,
         open_loop_fraction: float = 0.5,
-        coalesce_window: float = 0.002,
+        coalesce_window: float = ServerConfig.coalesce_window,
         max_batch: int = 512,
         ledger: bool = False,
         seed: int = ROOT_SEED,

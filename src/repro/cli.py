@@ -48,6 +48,7 @@ from repro.core.budget.allocation import allocate_budget
 from repro.core.msm import MultiStepMechanism
 from repro.eval import experiments
 from repro.eval.results import ResultTable, print_table
+from repro.serve.server import ServerConfig
 
 _EXPERIMENTS = {
     "fig3": experiments.run_fig3,
@@ -223,7 +224,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.exceptions import BudgetError, ServeError
-    from repro.serve import ServerConfig, ServingPool
+    from repro.serve import ServingPool
 
     obs = _make_observability(args)
     if obs is None:
@@ -484,8 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="total requests across all clients")
     p_serve.add_argument("--clients", type=int, default=8,
                          help="concurrent client threads")
-    p_serve.add_argument("--coalesce-window", type=float, default=0.002,
-                         help="micro-batch gathering window in seconds")
+    p_serve.add_argument("--coalesce-window", type=float,
+                         default=ServerConfig.coalesce_window,
+                         help="extra seconds a micro-batch waits for more "
+                              "requests (default: none; whatever is "
+                              "queued dispatches at once)")
     p_serve.add_argument("--max-batch", type=int, default=512)
     p_serve.add_argument("--store", default=None, metavar="DIR",
                          help="persistent mechanism store directory "

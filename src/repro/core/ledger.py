@@ -13,18 +13,25 @@ journal and a **reserve → sample → commit** two-phase protocol:
 ``reserve``
     Written (and fsync'd) *before* the request may sample.  A
     reservation counts as spent from the moment it is durable, so a
-    crash at any later point replays as spend — fail closed.
+    crash at any later point replays as spend — fail closed.  A
+    micro-batch journals all its reservations in one group append
+    (:meth:`BudgetLedger.reserve_many`): one write, one fsync.
 ``commit``
     Settles a reservation: the spend is final (the report was
     delivered, or the batch failed after sampling may have begun —
     either way the epsilon is gone).  Audit-trail only; replay counts
-    the reserve whether or not its commit survived.
+    the reserve whether or not its commit survived.  So a commit is
+    written without an fsync of its own: the next reservation group's
+    fsync, a release, or :meth:`BudgetLedger.close` makes it durable,
+    and a commit lost to a power cut replays as spent.
 ``release``
     Refunds a reservation that **provably never sampled** — abandoned
     before dispatch (caller deadline elapsed), or drained by
     ``stop()``.  The only op that subtracts, and the caller carries the
     burden of proof: a release is only honoured when its reservation is
-    in the journal and was not committed first.
+    in the journal and was not committed first.  It keeps its fsync:
+    a record that hands budget back must be durable before the caller
+    acts on it.
 
 Journal format — one JSON object per line::
 
@@ -276,7 +283,7 @@ def replay_many(paths: "Iterable[str | Path]") -> LedgerReplay:
 
 
 class BudgetLedger:
-    """Append-only, fsync'd, checksummed journal of budget spend.
+    """Append-only, checksummed journal of budget spend.
 
     Parameters
     ----------
@@ -284,10 +291,13 @@ class BudgetLedger:
         The journal file.  Created (with parents) on first append;
         replayed on open when it already exists.
     sync:
-        fsync every append (the default, and the mode the crash-safety
-        guarantee assumes).  ``sync=False`` trades durability of the
-        *last few* entries for throughput — replay is then still
-        consistent, merely stale — and exists for benchmarks and tests.
+        fsync reservations (once per group append), releases and
+        :meth:`close` — the default, and the mode the crash-safety
+        guarantee assumes.  Commits are never fsync'd on their own:
+        they ride on the next fsync.  ``sync=False`` skips every fsync,
+        trading durability of the *last few* entries for throughput —
+        replay is then still consistent, merely stale — and exists for
+        benchmarks and tests.
 
     Thread-safe: appends serialise on an internal lock, so reserve and
     settle may come from different threads.
@@ -370,28 +380,46 @@ class BudgetLedger:
         Durable (fsync'd) before this returns, so the caller may
         sample afterwards knowing a crash replays the spend.
         """
-        if epsilon <= 0:
-            raise LedgerError(
-                f"reservation epsilon must be positive, got {epsilon}"
-            )
+        return self.reserve_many([(user, epsilon)])[0]
+
+    def reserve_many(
+        self, reservations: "Iterable[tuple[str, float]]"
+    ) -> list[str]:
+        """Journal ``(user, epsilon)`` reservations as one group append.
+
+        One write and one fsync for the whole group; returns the entry
+        ids in order.  Every reservation is durable before this
+        returns.  If the append fails, any of them may still be on
+        disk, and replay counts those as spent (fail closed).
+        """
+        reservations = [(user, float(eps)) for user, eps in reservations]
+        for _, epsilon in reservations:
+            if epsilon <= 0:
+                raise LedgerError(
+                    f"reservation epsilon must be positive, got {epsilon}"
+                )
         with self._lock:
-            self._seq += 1
-            entry_id = f"{user}-{self._seq}"
-            self._append(
-                {
-                    "seq": self._seq,
-                    "op": "reserve",
-                    "id": entry_id,
-                    "user": user,
-                    "eps": float(epsilon),
-                }
-            )
-            self._spent[user] = self._spent.get(user, 0.0) + float(epsilon)
-            self._open[entry_id] = OpenReservation(
-                entry_id=entry_id, user=user, epsilon=float(epsilon)
-            )
-            self._count("reserve")
-            return entry_id
+            entries = []
+            for user, epsilon in reservations:
+                self._seq += 1
+                entries.append(
+                    {
+                        "seq": self._seq,
+                        "op": "reserve",
+                        "id": f"{user}-{self._seq}",
+                        "user": user,
+                        "eps": epsilon,
+                    }
+                )
+            self._append(entries)
+            for entry in entries:
+                user, entry_id = entry["user"], entry["id"]
+                self._spent[user] = self._spent.get(user, 0.0) + entry["eps"]
+                self._open[entry_id] = OpenReservation(
+                    entry_id=entry_id, user=user, epsilon=entry["eps"]
+                )
+            self._count("reserve", len(entries))
+            return [entry["id"] for entry in entries]
 
     def commit(self, entry_id: str) -> None:
         """Settle a reservation as finally spent."""
@@ -406,7 +434,8 @@ class BudgetLedger:
             self._settled.add(entry_id)
             self._seq += 1
             self._append(
-                {"seq": self._seq, "op": "commit", "id": entry_id}
+                [{"seq": self._seq, "op": "commit", "id": entry_id}],
+                sync=False,
             )
             self._count("commit")
 
@@ -423,7 +452,7 @@ class BudgetLedger:
             self._settled.add(entry_id)
             self._seq += 1
             self._append(
-                {"seq": self._seq, "op": "release", "id": entry_id}
+                [{"seq": self._seq, "op": "release", "id": entry_id}]
             )
             remaining = (
                 self._spent.get(reservation.user, 0.0) - reservation.epsilon
@@ -431,19 +460,19 @@ class BudgetLedger:
             self._spent[reservation.user] = max(0.0, remaining)
             self._count("release")
 
-    def _append(self, payload: dict) -> None:
-        """Write one entry; caller holds the lock."""
+    def _append(self, payloads: list[dict], sync: bool = True) -> None:
+        """Write entries in one append; caller holds the lock."""
         try:
-            self._append_bytes(_encode(payload))
+            self._append_bytes(b"".join(map(_encode, payloads)), sync)
         except (OSError, ValueError) as exc:
             raise LedgerError(
                 f"cannot append to budget journal {self._path}: {exc}"
             ) from exc
 
-    def _append_bytes(self, data: bytes) -> None:
+    def _append_bytes(self, data: bytes, sync: bool = True) -> None:
         self._fh.write(data)
         self._fh.flush()
-        if self._sync:
+        if sync and self._sync:
             os.fsync(self._fh.fileno())
 
     # ------------------------------------------------------------------
@@ -542,10 +571,10 @@ class BudgetLedger:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def _count(self, op: str) -> None:
+    def _count(self, op: str, entries: int = 1) -> None:
         if self._obs.enabled:
             metrics = self._obs.metrics
-            metrics.counter("repro_ledger_appends_total", op=op).inc()
+            metrics.counter("repro_ledger_appends_total", op=op).inc(entries)
             metrics.gauge("repro_ledger_open_reservations").set(
                 len(self._open)
             )

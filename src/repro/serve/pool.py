@@ -23,7 +23,8 @@ same :class:`~repro.privacy.composition.BudgetAccountant` the serial
 session uses — there is no cross-process budget race because there is
 no cross-process budget *sharing*.  With a ledger directory, each
 shard journals reserve → sample → commit into its own
-:class:`~repro.core.ledger.BudgetLedger` file, so a crashed (even
+:class:`~repro.core.ledger.BudgetLedger` file — one fsync per batch,
+for the batch's reservations — so a crashed (even
 SIGKILLed) worker is respawned and replays its own journal: its
 shard's spend is restored fail-closed, and no other shard is touched.
 Without a ledger directory the budgets exist only in the workers'
@@ -31,9 +32,12 @@ memory, so the pool fails closed instead: a shard whose worker dies is
 not respawned, and a stopped pool cannot be restarted.
 
 The front half is the micro-batching dispatcher: one feeder thread
-per shard coalesces submissions into batches (window / max-batch
-bounded), drops requests whose caller gave up before they reach the
-worker, ships the rest over a pipe, and resolves
+per shard batches naturally.  It blocks for a request, drains whatever
+else is already queued (up to ``max_batch``, waiting longer only for an
+explicit ``coalesce_window``), and dispatches at once, so a lone
+request never waits and requests that arrive while a batch is in
+flight form the next one.  It drops requests whose caller gave up
+before they reach the worker, ships the rest over a pipe, and resolves
 :class:`concurrent.futures.Future`\\ s from the worker's reply.  Pipes
 are per-incarnation — a respawned worker gets fresh ones — so a
 SIGKILL mid-``recv`` can never poison a shared queue lock.
@@ -189,35 +193,60 @@ class ShardBudgetBook:
         return self._reports.get(user, 0)
 
     def can_admit(self, user: str) -> bool:
+        return self._refusal(user) is None
+
+    def _refusal(self, user: str) -> BudgetError | None:
         account = self._account(user)
-        return account.affordable(self._per_report) > self._outstanding.get(
-            user, 0
+        outstanding = self._outstanding.get(user, 0)
+        if account.affordable(self._per_report) > outstanding:
+            return None
+        return BudgetError(
+            f"user {user!r}: lifetime budget cannot cover another "
+            f"report (remaining {account.remaining:.4g}, "
+            f"{outstanding} reserved, per-report "
+            f"{self._per_report:.4g})"
         )
 
     def admit(self, user: str) -> str | None:
-        """Admission-check ``user`` and journal the reservation.
+        """Admit one request: :meth:`admit_many` of one user, raising
+        its :class:`~repro.exceptions.BudgetError` on refusal."""
+        outcome = self.admit_many([user])[0]
+        if isinstance(outcome, BudgetError):
+            raise outcome
+        return outcome
 
-        The check counts the user's *outstanding* reservations on top
+    def admit_many(
+        self, users: list[str]
+    ) -> list[str | None | BudgetError]:
+        """Admission-check a micro-batch and journal its reservations.
+
+        Each check counts the user's *outstanding* reservations on top
         of settled spend, so admitting N same-user requests into one
-        batch can never overdraft at settle time.  Returns the ledger
-        entry id (None without a ledger); the reservation is durable
-        before this returns, so the caller may sample afterwards
-        knowing a crash replays the spend.
+        batch can never overdraft at settle time.  Returns, per user,
+        the ledger entry id of its reservation (None without a ledger)
+        or the :class:`~repro.exceptions.BudgetError` that refused it.
+        The admitted reservations are journalled in one group append —
+        one fsync — and are durable before this returns, so the caller
+        may sample afterwards knowing a crash replays the spend.  If
+        that append raises, the error propagates and nothing may
+        sample; the reservations stay outstanding, since any of them
+        may have reached the journal.
         """
-        account = self._account(user)
-        outstanding = self._outstanding.get(user, 0)
-        if account.affordable(self._per_report) <= outstanding:
-            raise BudgetError(
-                f"user {user!r}: lifetime budget cannot cover another "
-                f"report (remaining {account.remaining:.4g}, "
-                f"{outstanding} reserved, per-report "
-                f"{self._per_report:.4g})"
+        outcomes: list[str | None | BudgetError] = []
+        admitted: list[int] = []
+        for user in users:
+            refusal = self._refusal(user)
+            if refusal is None:
+                self._outstanding[user] = self._outstanding.get(user, 0) + 1
+                admitted.append(len(outcomes))
+            outcomes.append(refusal)
+        if self._ledger is not None and admitted:
+            entry_ids = self._ledger.reserve_many(
+                [(users[slot], self._per_report) for slot in admitted]
             )
-        entry_id = None
-        if self._ledger is not None:
-            entry_id = self._ledger.reserve(user, self._per_report)
-        self._outstanding[user] = outstanding + 1
-        return entry_id
+            for slot, entry_id in zip(admitted, entry_ids):
+                outcomes[slot] = entry_id
+        return outcomes
 
     def settle(self, user: str, entry_id: str | None) -> int:
         """Spend one delivered report; returns its per-user sequence."""
@@ -271,15 +300,19 @@ def _run_pool_batch(
     * ``("budget", message)`` — refused before sampling (no spend);
     * ``("failed", message)`` — the walk raised after reservations were
       durable; every admitted request is charged (fail closed).
+
+    The batch's reservations are journalled in one group append before
+    the walk.  If that append raises, the error propagates and nothing
+    samples: the worker dies, the frontend fails the batch, and a
+    respawned worker replays whatever reached the journal as spent.
     """
     outcomes: list[tuple | None] = [None] * len(items)
     admitted: list[tuple[int, str, str | None]] = []
     coords: list[tuple[float, float]] = []
-    for slot, (user, x, y) in enumerate(items):
-        try:
-            entry_id = book.admit(user)
-        except BudgetError as exc:
-            outcomes[slot] = ("budget", str(exc))
+    admissions = book.admit_many([user for user, _, _ in items])
+    for slot, ((user, x, y), entry_id) in enumerate(zip(items, admissions)):
+        if isinstance(entry_id, BudgetError):
+            outcomes[slot] = ("budget", str(entry_id))
             if obs.enabled:
                 obs.metrics.counter(
                     "repro_pool_worker_budget_rejections_total"
@@ -612,6 +645,9 @@ class _ShardHandle:
             if isinstance(item, _SnapshotTicket):
                 self._roundtrip_snapshot(item)
                 continue
+            # natural batching: take whatever queued up behind the first
+            # request (while the previous batch was in flight) without
+            # blocking; only an explicit coalesce_window waits for more
             batch = [item]
             snapshot_after: _SnapshotTicket | None = None
             window_end = (
@@ -619,10 +655,11 @@ class _ShardHandle:
             )
             while len(batch) < self.pool._config.max_batch:
                 remaining = window_end - time.perf_counter()
-                if remaining <= 0:
-                    break
                 try:
-                    nxt = self.inbox.get(timeout=remaining)
+                    if remaining > 0:
+                        nxt = self.inbox.get(timeout=remaining)
+                    else:
+                        nxt = self.inbox.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is None:

@@ -25,9 +25,11 @@ class ServerConfig:
         served mechanism's epsilon (the sum of its level budgets); the
         pool refuses an arena that spends more per walk.
     coalesce_window:
-        How long (seconds) a shard's feeder waits after the first
-        pending request to gather more into the same micro-batch.  Zero
-        degenerates to one-request batches.
+        Extra time (seconds) a shard's feeder waits after the first
+        pending request to gather more into the same micro-batch.  The
+        default zero waits for nothing, yet still batches: the feeder
+        takes every request already queued — those that arrived while
+        the previous batch was in flight — and dispatches at once.
     max_batch:
         Hard cap on micro-batch size; a full batch dispatches
         immediately without waiting out the window.
@@ -39,7 +41,7 @@ class ServerConfig:
 
     lifetime_epsilon: float
     per_report_epsilon: float
-    coalesce_window: float = 0.002
+    coalesce_window: float = 0.0
     max_batch: int = 512
     max_pending: int = 10_000
 

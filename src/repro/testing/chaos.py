@@ -42,6 +42,9 @@ from pathlib import Path
 from repro.core.ledger import BudgetLedger, LedgerReplay, OpenReservation
 from repro.testing.faults import FaultRule
 
+#: The ledger write ops a :class:`CrashPoint` can name.
+_OPS = ("reserve", "reserve_many", "commit", "release", "compact")
+
 
 class CrashError(RuntimeError):
     """A simulated process death at a scripted protocol point.
@@ -56,11 +59,16 @@ class CrashError(RuntimeError):
 class CrashPoint:
     """Where in the ledger protocol to die.
 
-    ``op`` is the ledger method name (``"reserve"``, ``"commit"``,
-    ``"release"``, ``"compact"``); ``nth`` is the 1-based call count of
-    that op; ``when`` is ``"before"`` (the append never happened) or
-    ``"after"`` (the append is durable, the caller never saw it
-    succeed).
+    ``op`` is the ledger method name (``"reserve"``, ``"reserve_many"``,
+    ``"commit"``, ``"release"``, ``"compact"``); ``nth`` is the 1-based
+    call count of that op; ``when`` is ``"before"`` (the append never
+    happened) or ``"after"`` (the append is durable, the caller never
+    saw it succeed).
+
+    A group append journals several reservations at once, so a
+    ``reserve_many`` call counts once as ``reserve_many`` and once per
+    entry as ``reserve``: a ``"reserve"`` point fires at the group that
+    holds its nth reservation, before or after the whole group.
     """
 
     op: str
@@ -68,7 +76,7 @@ class CrashPoint:
     when: str = "after"
 
     def __post_init__(self):
-        if self.op not in ("reserve", "commit", "release", "compact"):
+        if self.op not in _OPS:
             raise ValueError(f"unknown ledger op {self.op!r}")
         if self.nth < 1:
             raise ValueError(f"nth must be >= 1, got {self.nth}")
@@ -102,54 +110,64 @@ class CrashingLedger:
         self.log: list[tuple[str, str]] = []
 
     # -- crash machinery ------------------------------------------------
-    def _maybe_crash(self, op: str, when: str) -> None:
+    def _enter(self, **calls: int) -> dict[str, range]:
+        """Count a write that makes ``calls[op]`` calls of each op, and
+        die if a "before" point falls on one; returns the 1-based call
+        numbers it covers per op."""
         if self.crashed_at is not None:
             raise CrashError(
                 f"ledger already crashed at {self.crashed_at}"
             )
-        count = self._counts[op]
-        for point in self._points:
-            if (
-                point.op == op
-                and point.when == when
-                and point.nth == count
-            ):
-                self.crashed_at = point
-                raise CrashError(f"injected crash {when} {op} #{count}")
+        spans = {}
+        for op, n in calls.items():
+            first = self._counts.get(op, 0) + 1
+            self._counts[op] = first + n - 1
+            spans[op] = range(first, first + n)
+        self._maybe_crash("before", spans)
+        return spans
 
-    def _enter(self, op: str) -> None:
-        if self.crashed_at is not None:
-            raise CrashError(
-                f"ledger already crashed at {self.crashed_at}"
-            )
-        self._counts[op] = self._counts.get(op, 0) + 1
-        self._maybe_crash(op, "before")
+    def _maybe_crash(self, when: str, spans: dict[str, range]) -> None:
+        for point in self._points:
+            span = spans.get(point.op)
+            if point.when == when and span is not None and point.nth in span:
+                self.crashed_at = point
+                raise CrashError(
+                    f"injected crash {when} {point.op} #{point.nth}"
+                )
 
     # -- write ops ------------------------------------------------------
     def reserve(self, user: str, epsilon: float) -> str:
-        self._enter("reserve")
+        spans = self._enter(reserve=1)
         entry_id = self._inner.reserve(user, epsilon)
         self.log.append(("reserve", entry_id))
-        self._maybe_crash("reserve", "after")
+        self._maybe_crash("after", spans)
         return entry_id
 
+    def reserve_many(self, reservations) -> list[str]:
+        reservations = list(reservations)
+        spans = self._enter(reserve_many=1, reserve=len(reservations))
+        entry_ids = self._inner.reserve_many(reservations)
+        self.log.extend(("reserve", entry_id) for entry_id in entry_ids)
+        self._maybe_crash("after", spans)
+        return entry_ids
+
     def commit(self, entry_id: str) -> None:
-        self._enter("commit")
+        spans = self._enter(commit=1)
         self._inner.commit(entry_id)
         self.log.append(("commit", entry_id))
-        self._maybe_crash("commit", "after")
+        self._maybe_crash("after", spans)
 
     def release(self, entry_id: str) -> None:
-        self._enter("release")
+        spans = self._enter(release=1)
         self._inner.release(entry_id)
         self.log.append(("release", entry_id))
-        self._maybe_crash("release", "after")
+        self._maybe_crash("after", spans)
 
     def compact(self) -> int:
-        self._enter("compact")
+        spans = self._enter(compact=1)
         entries = self._inner.compact()
         self.log.append(("compact", str(entries)))
-        self._maybe_crash("compact", "after")
+        self._maybe_crash("after", spans)
         return entries
 
     # -- passthrough reads / lifecycle ---------------------------------

@@ -483,6 +483,140 @@ class TestCrashPoints:
 
 
 # ----------------------------------------------------------------------
+# group commit: one fsync per batch
+# ----------------------------------------------------------------------
+class _RecordingWalk:
+    """A compiled walk that counts the batches it samples."""
+
+    def __init__(self, walk):
+        self._walk = walk
+        self.calls = 0
+        self.center_x = walk.center_x
+        self.center_y = walk.center_y
+
+    def walk_arrays(self, coords, rng):
+        self.calls += 1
+        return self._walk.walk_arrays(coords, rng)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch) -> list[int]:
+    """Every ``os.fsync`` the ledger module makes, by file descriptor."""
+    import repro.core.ledger as ledger_module
+
+    calls: list[int] = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(ledger_module.os, "fsync", counting)
+    return calls
+
+
+class TestGroupCommit:
+    def test_batch_costs_one_fsync_and_commits_none(
+        self, tmp_path, serve_arena, fsyncs
+    ):
+        """k admitted requests: their reservations share one group
+        append and one fsync; their commits are written unsynced."""
+        path = tmp_path / "journal"
+        ledger = BudgetLedger(path)
+        book = ShardBudgetBook(4.0, EPS, ledger=ledger)
+        items = [("a", 5.0, 5.0), ("b", 6.0, 6.0), ("a", 7.0, 7.0),
+                 ("c", 8.0, 8.0)]
+        fsyncs.clear()
+        outcomes = _batch(serve_arena.compiled(), book, items)
+        assert [o[0] for o in outcomes] == ["ok"] * 4
+        assert len(fsyncs) == 1
+        # the commits are in the journal file all the same
+        replay = replay_journal(path)
+        assert replay.committed == 4
+        assert replay.open_reservations == {}
+        ledger.close()
+
+    def test_commit_rides_on_next_fsync_release_keeps_its_own(
+        self, tmp_path, fsyncs
+    ):
+        path = tmp_path / "journal"
+        with BudgetLedger(path) as ledger:
+            fsyncs.clear()
+            ledger.commit(ledger.reserve("u", EPS))
+            assert len(fsyncs) == 1  # the reserve's
+            ledger.release(ledger.reserve("u", EPS))
+            assert len(fsyncs) == 3  # the reserve's and the release's
+        replay = replay_journal(path)
+        assert replay.spent_for("u") == pytest.approx(EPS)
+        assert (replay.committed, replay.released) == (1, 1)
+
+    def test_crash_after_group_reserve_replays_every_reservation(
+        self, tmp_path, serve_arena
+    ):
+        """The worker dies once the group append is durable: nothing
+        samples, and every reservation in the group replays as spent."""
+        path = tmp_path / "journal"
+        crashing = CrashingLedger(
+            BudgetLedger(path),
+            [CrashPoint("reserve_many", nth=1, when="after")],
+        )
+        book = ShardBudgetBook(4.0, EPS, ledger=crashing)
+        walk = _RecordingWalk(serve_arena.compiled())
+        with pytest.raises(CrashError):
+            _batch(walk, book, [("a", 5.0, 5.0), ("b", 6.0, 6.0),
+                                ("a", 7.0, 7.0)])
+        crashing.close()
+        assert walk.calls == 0
+        replay = _journal_invariant(path, {"a": 0, "b": 0}, lifetime=4.0)
+        assert replay.spent_for("a") == pytest.approx(2 * EPS)
+        assert replay.spent_for("b") == pytest.approx(EPS)
+        assert len(replay.open_reservations) == 3
+        with BudgetLedger(path) as ledger:
+            respawned = ShardBudgetBook(4.0, EPS, ledger=ledger)
+            assert respawned.spent_for("a") == pytest.approx(2 * EPS)
+            assert respawned.spent_for("b") == pytest.approx(EPS)
+            assert ledger.open_reservations() == {}
+
+    def test_reserve_point_fires_at_the_group_holding_it(
+        self, tmp_path, serve_arena
+    ):
+        """A ``reserve`` crash point counts reservations, not appends:
+        the 3rd reservation sits in the second group of two."""
+        path = tmp_path / "journal"
+        crashing = CrashingLedger(
+            BudgetLedger(path), [CrashPoint("reserve", nth=3, when="before")]
+        )
+        book = ShardBudgetBook(4.0, EPS, ledger=crashing)
+        walk = serve_arena.compiled()
+        pair = [("a", 5.0, 5.0), ("b", 6.0, 6.0)]
+        assert _delivered(_batch(walk, book, pair)) == 2
+        with pytest.raises(CrashError):
+            _batch(walk, book, pair)
+        crashing.close()
+        replay = _journal_invariant(path, {"a": 1, "b": 1}, lifetime=4.0)
+        assert replay.spent_for("a") == pytest.approx(EPS)
+        assert replay.open_reservations == {}
+
+    def test_failed_group_append_samples_nothing(
+        self, tmp_path, serve_arena
+    ):
+        """A group append that fails fails the whole batch closed: the
+        error propagates (the worker dies) before anything samples."""
+        path = tmp_path / "journal"
+        ledger = BudgetLedger(path)
+        book = ShardBudgetBook(EPS, EPS, ledger=ledger)  # one report each
+        walk = _RecordingWalk(serve_arena.compiled())
+        ledger.close()  # every later append fails
+        with pytest.raises(LedgerError):
+            _batch(walk, book, [("a", 5.0, 5.0), ("b", 6.0, 6.0)])
+        assert walk.calls == 0
+        # any of the reservations may be on disk, so in memory they stay
+        # outstanding: neither user can be admitted again
+        assert not book.can_admit("a")
+        assert not book.can_admit("b")
+
+
+# ----------------------------------------------------------------------
 # deadlines and abandonment
 # ----------------------------------------------------------------------
 class TestDeadlines:

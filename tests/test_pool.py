@@ -28,6 +28,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -406,6 +407,56 @@ class TestPoolRestart:
         assert len(replay.spent) == 10
         for user, spent in replay.spent.items():
             assert spent == pytest.approx(1.5)
+
+
+# ----------------------------------------------------------------------
+# natural batching
+# ----------------------------------------------------------------------
+class TestNaturalBatching:
+    def test_queued_requests_form_one_batch_without_a_window(
+        self, frozen_arena
+    ):
+        """With ``coalesce_window=0`` the feeder waits for nothing, yet
+        still batches: the N requests already queued when it wakes go
+        to the worker as one batch, not N one-request batches.
+
+        The worker is stopped (SIGSTOP) while the feeder round-trips a
+        metrics snapshot through it, so the feeder cannot take a request
+        until all N sit in its inbox behind the snapshot."""
+        n = 6
+        config = _config(lifetime=100.0, window=0.0)
+        with _pool(frozen_arena, workers=1, config=config) as pool:
+            pid = pool.worker_pids()[0]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                snapshots = threading.Thread(target=pool.worker_snapshots)
+                snapshots.start()
+                handles = [
+                    pool.submit(f"user-{i}", Point(3.0 + i, 4.0))
+                    for i in range(n)
+                ]
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            snapshots.join(timeout=30)
+            assert not snapshots.is_alive()
+            for handle in handles:
+                handle.future.result(timeout=30)
+        stats = pool.stats()
+        assert stats.completed == n
+        assert stats.batches == 1
+        assert stats.coalesced == n - 1
+
+    def test_one_coalesce_default(self):
+        """``repro serve`` and the load benchmark take their window from
+        ``ServerConfig``, whose default dispatches at once."""
+        from repro.bench.load import LoadSpec
+        from repro.cli import build_parser
+
+        default = ServerConfig(1.0, 1.0).coalesce_window
+        assert default == 0.0
+        assert LoadSpec().coalesce_window == default
+        args = build_parser().parse_args(["serve", "--epsilon", "0.5"])
+        assert args.coalesce_window == default
 
 
 # ----------------------------------------------------------------------
