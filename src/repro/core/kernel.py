@@ -9,13 +9,19 @@ It holds the tree in struct-of-arrays form:
   the binary split coordinate) so locating a whole level of points is a
   handful of gathered array expressions.  Box-tiled nodes without
   arithmetic addressing (the STR index) locate among their children's
-  stored bounds with the default scan's tie-break;
+  stored bounds with the default scan's tie-break.  Every internal node
+  of one level shares one kind (``level_kind``; a tree that mixes kinds
+  on a level does not compile), so a level is located in one pass of
+  that kind's expressions;
 * **membership labels** for indexes whose regions are not boxes (the
   road-network partition): every member node's per-key child-slot
   labels concatenated into one ``member_labels`` array addressed by a
   per-node ``label_offset``.  Each point is snapped to its key (nearest
   of the ``snap_coords`` sites) once per batch, and a member level is
-  one gather ``member_labels[label_offset[ids] + keys]``;
+  one gather ``member_labels[label_offset[ids] + keys]``.  The snap is
+  raster-first (:class:`_SnapIndex`): a table over the sites' envelope
+  answers points in cells with one provably nearest site, and a
+  cKDTree answers the rest;
 * **stacked CDF arenas** per level: node mechanisms'
   :attr:`~repro.mechanisms.matrix.MechanismMatrix.cdf` rows
   concatenated into one contiguous ``(rows, fanout)`` array, with a
@@ -34,11 +40,12 @@ half-grown arena.  A snapshot whose ``complete`` flag is set skips the
 pending check altogether.
 
 The float fields are the *same expressions* each index's own locate
-computes (the ``child_geometry`` contract), the snap rebuilds the
-index's nearest-site tree from the stored site coordinates, and
-sampling uses the same comparison-count inversion as
-``MechanismMatrix.sample_rows``, so on a shared seed the kernel is
-bitwise identical to the Algorithm-1 reference walk in
+computes (the ``child_geometry`` contract), the snap's table holds a
+site only where it is the strict nearest by a margin that covers float
+rounding and sends everything else to a rebuild of the index's
+nearest-site tree, and sampling uses the same comparison-count
+inversion as ``MechanismMatrix.sample_rows``, so on a shared seed the
+kernel is bitwise identical to the Algorithm-1 reference walk in
 :mod:`repro.testing.oracle` — the test suite holds the two to byte
 equality on every index in the repository.
 
@@ -122,6 +129,101 @@ class LevelArrays:
     reported: np.ndarray
 
 
+class _SnapIndex:
+    """Exact nearest-site lookup: a raster table first, a cKDTree after.
+
+    The raster covers the sites' envelope with about ``8 * sqrt(k)``
+    cells per axis (one cell on an axis the sites do not span).  A cell
+    holds site ``s`` only when ``s`` is the nearest site of all four of
+    its corners, each by a squared-distance gap ``d2**2 - d1**2`` above
+    ``tol``; every other cell holds -1.  A point in a pure cell takes
+    its entry; every other point (an impure cell, outside the envelope,
+    non-finite) goes to ``tree``, a ``cKDTree`` over the sites built as
+    :class:`~repro.graph.city.RoadGraph` builds its own, so ties and
+    errors are the tree's.
+
+    Why a table entry is exact: for sites ``s`` and ``t`` the gap
+    ``f(p) = |p - t|**2 - |p - s|**2`` is affine in ``p``, so if it is
+    at least ``tol`` at a cell's four corners it is at least ``tol``
+    over the whole cell.  The margin absorbs float rounding, with
+    ``D`` the envelope diagonal (a bound on every site-site and
+    point-site distance inside the envelope), ``M`` the largest
+    absolute envelope coordinate and ``eps`` the float64 unit
+    roundoff: a squared distance is computed to within ``4 eps d**2``,
+    so the corner gaps, the tree's top-two choice at a corner and the
+    tree's comparisons (and pruning) at a query point each move a gap
+    by at most ``8 eps D**2``; and the float cell assignment and
+    corner coordinates place a point at most ``7 eps (M + D)`` outside
+    its cell on each axis, where ``f`` changes by at most ``2 D`` per
+    unit per axis.  That totals under ``60 eps D (D + M)``; ``tol`` is
+    ``128 eps D (D + M)``, so a point in a pure cell has the table's
+    site as the tree's strict nearest.  ``M`` keeps the bound valid for
+    coordinates far from the origin.
+    """
+
+    def __init__(self, sites: np.ndarray) -> None:
+        self.tree = cKDTree(sites)
+        lo = sites.min(axis=0)
+        hi = sites.max(axis=0)
+        span = hi - lo
+        r = max(1, round(8.0 * np.sqrt(sites.shape[0])))
+        self.shape = tuple(int(r) if s > 0 else 1 for s in span)
+        nx, ny = self.shape
+        self.lo = lo
+        self.hi = hi
+        # cells per unit; 0 on an unspanned axis (every point: cell 0)
+        self.scale = np.array(
+            [n / s if s > 0 else 0.0 for n, s in zip(self.shape, span)]
+        )
+        self.xs = lo[0] + span[0] * np.arange(nx + 1) / nx
+        self.ys = lo[1] + span[1] * np.arange(ny + 1) / ny
+        self.xs[-1], self.ys[-1] = hi
+        diag = float(np.hypot(*span))
+        big = float(np.max(np.abs([lo, hi])))
+        tol = 128.0 * np.finfo(float).eps * diag * (diag + big)
+        cx, cy = np.meshgrid(self.xs, self.ys)  # (ny + 1, nx + 1)
+        corners = np.column_stack([cx.ravel(), cy.ravel()])
+        _, near = self.tree.query(corners, k=2)
+        # the tree reports a lone site's missing neighbour as index k
+        padded = np.vstack([sites, np.full((1, 2), np.inf)])
+        d1, d2 = ((corners[:, None, :] - padded[near]) ** 2).sum(axis=2).T
+        label = np.where(d2 - d1 > tol, near[:, 0], -1).reshape(ny + 1, nx + 1)
+        cell = label[:-1, :-1]
+        pure = (
+            (cell >= 0)
+            & (cell == label[1:, :-1])
+            & (cell == label[:-1, 1:])
+            & (cell == label[1:, 1:])
+        )
+        self.table = np.where(pure, cell, -1).astype(np.int64).ravel()
+
+    def query(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each ``(m, 2)`` coordinate's nearest site (int64)."""
+        x = coords[:, 0]
+        y = coords[:, 1]
+        (x0, y0), (x1, y1) = self.lo, self.hi
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        everywhere = bool(inside.all())
+        if not everywhere:  # park the rest on cell 0 (no NaN casts)
+            x = np.where(inside, x, x0)
+            y = np.where(inside, y, y0)
+        nx, ny = self.shape
+        sx, sy = self.scale
+        col = ((x - x0) * sx).astype(np.int64)
+        np.minimum(col, nx - 1, out=col)
+        row = ((y - y0) * sy).astype(np.int64)
+        np.minimum(row, ny - 1, out=row)
+        row *= nx
+        row += col
+        keys = self.table[row]
+        if not everywhere:
+            keys[~inside] = -1
+        miss = np.flatnonzero(keys < 0)
+        if miss.size:
+            keys[miss] = self.tree.query(coords[miss])[1]
+        return keys
+
+
 @dataclass
 class CompiledWalk:
     """The index tree compiled to flat arrays (see module docstring)."""
@@ -165,8 +267,11 @@ class CompiledWalk:
     )
     #: True when no internal node is pending
     complete: bool = field(init=False, repr=False, compare=False)
-    #: nearest-site tree over ``snap_coords``, built on first snap
-    _snap_tree: cKDTree | None = field(
+    #: the kind code every internal node of each level shares
+    #: (``KIND_TERMINAL`` on a level without internal nodes)
+    level_kind: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: nearest-site index over ``snap_coords``, built on first snap
+    _snap_index: _SnapIndex | None = field(
         default=None, init=False, repr=False, compare=False
     )
     #: every node's centre as a :class:`Point`, built on first use
@@ -175,9 +280,18 @@ class CompiledWalk:
     )
 
     def __post_init__(self) -> None:
-        self.complete = bool(
-            np.all(self.row_offset[self.child_count > 0] >= 0)
-        )
+        internal = self.child_count > 0
+        self.complete = bool(np.all(self.row_offset[internal] >= 0))
+        levels = self.level[internal]
+        kinds = self.kind[internal]
+        per_level = np.full(self.n_levels, KIND_TERMINAL, dtype=np.int8)
+        per_level[levels] = kinds
+        mixed = np.flatnonzero(per_level[levels] != kinds)
+        if mixed.size:
+            raise MechanismError(
+                f"level {levels[mixed[0]] + 1} mixes child kinds"
+            )
+        self.level_kind = tuple(per_level.tolist())
 
     @property
     def n_nodes(self) -> int:
@@ -221,9 +335,13 @@ class CompiledWalk:
         ``rng.random(n_drifted)`` draw (skipped when no point drifted)
         picks the drifted points' uniform children and one
         ``rng.random(n_active)`` draw inverts the CDF rows, both in
-        ascending batch order.  A member tree snaps every point to its
-        key once, up front, and locates each level with one label
-        gather.  With a ``tracer`` each level opens a ``level`` span
+        ascending batch order.  Each level is located by the one kind
+        its internal nodes share (``level_kind``).  A member tree snaps
+        every point to its key once, up front, and locates each level
+        with one label gather.  On a level where every point is still
+        walking (every level of a uniform-depth tree) the batch arrays
+        are used as they are, not gathered.  With a ``tracer`` each
+        level opens a ``level`` span
         holding ``locate`` (with ``drifted``), ``sample`` and
         ``descend`` spans, after the resolve hook's own spans.
         """
@@ -238,24 +356,30 @@ class CompiledWalk:
         y = coords[:, 1]
         keys = self._snap(coords) if self.snap_coords.shape[0] else None
         walk = self
-        for lvl in range(self.n_levels):
+        for lvl, kind in enumerate(self.level_kind):
             active = np.flatnonzero(walk.child_count[cur] > 0)
             if active.size == 0:
                 break
-            ids = cur[active]
+            every = active.size == n
+            ids = cur if every else cur[active]
             with span("level", level=lvl + 1, epsilon=self.budgets[lvl]):
                 if not walk.complete:
                     walk = walk._fill_pending(ids, lvl + 1, resolve)
                 with span("locate", n=active.size) as sp:
-                    if keys is None:
-                        x_hat = walk._locate_boxes(ids, x[active], y[active])
-                    else:
+                    if kind == KIND_MEMBER:
                         # membership is authoritative: no envelope test
                         # (sibling envelopes overlap, and a point outside
                         # one can still snap to a member vertex)
                         x_hat = walk.member_labels[
-                            walk.label_offset[ids] + keys[active]
+                            walk.label_offset[ids]
+                            + (keys if every else keys[active])
                         ]
+                    elif every:
+                        x_hat = walk._locate_boxes(kind, ids, x, y)
+                    else:
+                        x_hat = walk._locate_boxes(
+                            kind, ids, x[active], y[active]
+                        )
                     drifted = x_hat < 0
                     n_drifted = int(drifted.sum())
                     if n_drifted:
@@ -272,9 +396,11 @@ class CompiledWalk:
                         walk.cdf_levels[lvl][walk.row_offset[ids] + x_hat], u
                     )
                 with span("descend", n=active.size):
-                    cur[active] = walk.child_ids[
-                        walk.child_start[ids] + reported
-                    ]
+                    child = walk.child_ids[walk.child_start[ids] + reported]
+                    if every:  # ``ids`` is ``cur``: keep it intact
+                        cur = child
+                    else:
+                        cur[active] = child
             levels.append(
                 LevelArrays(lvl + 1, active, ids, x_hat, drifted, reported)
             )
@@ -298,47 +424,33 @@ class CompiledWalk:
         return resolve(self, level, pending[np.sort(first)])
 
     def _locate_boxes(
-        self, ids: np.ndarray, ax: np.ndarray, ay: np.ndarray
+        self, kind: int, ids: np.ndarray, ax: np.ndarray, ay: np.ndarray
     ) -> np.ndarray:
-        """Child slot of each active point among its grid, split or tiles
-        node's children; -1 (drifted) outside the node's box."""
-        kinds = self.kind[ids]
-        x_hat = np.full(ids.size, -1, dtype=np.int64)
-        grid_mask = kinds == KIND_GRID
-        if grid_mask.any():
-            gids = ids[grid_mask]
+        """Child slot of each active point among the children of its
+        node, every one of ``kind`` grid, split or tiles; -1 (drifted)
+        outside the node's box."""
+        min_x = self.min_x[ids]
+        min_y = self.min_y[ids]
+        if kind == KIND_GRID:
+            gx = self.gx[ids]
             cols = np.minimum(
-                (
-                    (ax[grid_mask] - self.min_x[gids]) / self.cell_w[gids]
-                ).astype(np.int64),
-                self.gx[gids] - 1,
+                ((ax - min_x) / self.cell_w[ids]).astype(np.int64), gx - 1
             )
             rows = np.minimum(
-                (
-                    (ay[grid_mask] - self.min_y[gids]) / self.cell_h[gids]
-                ).astype(np.int64),
-                self.gy[gids] - 1,
+                ((ay - min_y) / self.cell_h[ids]).astype(np.int64),
+                self.gy[ids] - 1,
             )
-            x_hat[grid_mask] = rows * self.gx[gids] + cols
-        sx_mask = kinds == KIND_SPLIT_X
-        if sx_mask.any():
-            x_hat[sx_mask] = (
-                ax[sx_mask] >= self.split[ids[sx_mask]]
-            ).astype(np.int64)
-        sy_mask = kinds == KIND_SPLIT_Y
-        if sy_mask.any():
-            x_hat[sy_mask] = (
-                ay[sy_mask] >= self.split[ids[sy_mask]]
-            ).astype(np.int64)
-        tiles_mask = kinds == KIND_TILES
-        if tiles_mask.any():
-            x_hat[tiles_mask] = self._locate_tiles(
-                ids[tiles_mask], ax[tiles_mask], ay[tiles_mask]
-            )
+            x_hat = rows * gx + cols
+        elif kind == KIND_SPLIT_X:
+            x_hat = (ax >= self.split[ids]).astype(np.int64)
+        elif kind == KIND_SPLIT_Y:
+            x_hat = (ay >= self.split[ids]).astype(np.int64)
+        else:
+            x_hat = self._locate_tiles(ids, ax, ay)
         inside = (
-            (ax >= self.min_x[ids])
+            (ax >= min_x)
             & (ax <= self.max_x[ids])
-            & (ay >= self.min_y[ids])
+            & (ay >= min_y)
             & (ay <= self.max_y[ids])
         )
         x_hat[~inside] = -1
@@ -380,14 +492,15 @@ class CompiledWalk:
     def _snap(self, coords: np.ndarray) -> np.ndarray:
         """Key of each ``(m, 2)`` coordinate: its nearest site's index.
 
-        The tree is rebuilt from ``snap_coords`` on first use with the
+        The :class:`_SnapIndex` is built from ``snap_coords`` on first
+        use.  Points in a raster cell with one provably nearest site
+        take it from the table; the rest query a cKDTree built with the
         construction :class:`~repro.graph.city.RoadGraph` uses, so ties
         resolve exactly as the index's own snap does.
         """
-        if self._snap_tree is None:
-            self._snap_tree = cKDTree(self.snap_coords)
-        _, idx = self._snap_tree.query(coords)
-        return np.asarray(idx, dtype=np.int64)
+        if self._snap_index is None:
+            self._snap_index = _SnapIndex(self.snap_coords)
+        return self._snap_index.query(coords)
 
     # ------------------------------------------------------------------
     # growing and packing (copy-on-write)
@@ -477,9 +590,9 @@ class CompiledWalk:
 
     def _with_rows(self, **changes: Any) -> "CompiledWalk":
         """``dataclasses.replace`` over row state, keeping the caches
-        built from the geometry (snap tree, centre points)."""
+        built from the geometry (snap index, centre points)."""
         out = replace(self, **changes)
-        out._snap_tree = self._snap_tree
+        out._snap_index = self._snap_index
         out._center_points = self._center_points
         return out
 
@@ -566,8 +679,9 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
     Raises :class:`~repro.exceptions.MechanismError` when the tree
     cannot be packed: an internal node without child geometry, a
     child's path slot that disagrees with its list position, a level
-    that mixes fanouts, or member nodes that share the tree with box
-    nodes or disagree on their snap sites or label length.
+    that mixes fanouts or child kinds, or member nodes that share the
+    tree with box nodes or disagree on their snap sites or label
+    length.
     """
     index = engine.index
     budgets = engine.budgets

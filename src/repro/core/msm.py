@@ -378,13 +378,15 @@ class MultiStepMechanism(Mechanism):
 
         Every point gets its own independent walk, full
         :class:`StepTrace` provenance and per-point
-        :class:`~repro.core.resilience.DegradationReport`, while the
-        engine restructures the work for throughput: points are
-        grouped by node at each level, the cache is warmed once per
-        distinct node (each level LP solved exactly once, through the
-        resilient chain), and each group's draws happen in one
-        vectorised CDF inversion.  The whole batch walks in-process
-        and shares one random stream.  Degradation
+        :class:`~repro.core.resilience.DegradationReport`.  The whole
+        batch runs on the compiled kernel
+        (:class:`~repro.core.kernel.CompiledWalk`) in one flat pass
+        per level: every active point is located at once, the level's
+        node mechanisms not yet cached are resolved first (each
+        distinct node's LP solved exactly once, through the resilient
+        chain), and the level's draws are one cross-node CDF
+        inversion.  The whole batch walks in-process and shares one
+        random stream.  Degradation
         applies per node: when a node's solve is unrecoverable,
         exactly the points walking through that node carry the
         substituted mechanism in their traces, and only those.

@@ -20,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from repro.core.cache import NodeMechanismCache
-from repro.core.kernel import KIND_MEMBER, CompiledWalk
+from repro.core.kernel import KIND_MEMBER, CompiledWalk, _SnapIndex
 from repro.core.msm import MultiStepMechanism
 from repro.core.resilience import ResilienceConfig, ResilientSolver
 from repro.exceptions import (
@@ -65,14 +66,27 @@ def partition(city) -> GraphPartitionIndex:
     return GraphPartitionIndex(city, fanout=4, height=2)
 
 
-@pytest.fixture(scope="module")
-def graph_msm(city, partition, metric) -> MultiStepMechanism:
-    prior = GridPrior.uniform(RegularGrid(city.bounds, 8))
+def _warm_graph_msm(partition, metric) -> MultiStepMechanism:
+    prior = GridPrior.uniform(RegularGrid(partition.graph.bounds, 8))
     msm = MultiStepMechanism(
         partition, (0.8, 0.8), prior, dq=metric, dx=metric
     )
     msm.precompute()
     return msm
+
+
+@pytest.fixture(scope="module")
+def graph_msm(partition, metric) -> MultiStepMechanism:
+    return _warm_graph_msm(partition, metric)
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    """An unjittered city, its partition and warm MSM: every Voronoi
+    edge of its vertices falls on an exact midline, so snapping ties."""
+    road = synthetic_city(blocks=7, block_km=0.5, jitter=0.0, seed=42)
+    partition = GraphPartitionIndex(road, fanout=4, height=2)
+    return road, partition, _warm_graph_msm(partition, GraphMetric(road))
 
 
 class TestSyntheticCity:
@@ -363,17 +377,123 @@ def _outside_envelope_member(partition, city):
     return node, p
 
 
+def _snap_probes(coords: np.ndarray, rng, n: int) -> np.ndarray:
+    """Where a nearest-vertex snap can go wrong: every vertex, the
+    midpoint of each vertex and its nearest neighbour (a tie) and of
+    ``n`` random vertex pairs, and ``n`` points each on the kernel snap
+    raster's cell corners, vertical edges and horizontal edges."""
+    raster = _SnapIndex(coords)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    # ``% k``: a lone site has no neighbour, which the tree reports as k
+    nearest = cKDTree(coords).query(coords, k=2)[1][:, 1] % coords.shape[0]
+    pairs = rng.integers(0, coords.shape[0], size=(n, 2))
+    return np.concatenate([
+        coords,
+        (coords + coords[nearest]) / 2.0,
+        coords[pairs].mean(axis=1),
+        np.column_stack([rng.choice(raster.xs, n), rng.choice(raster.ys, n)]),
+        np.column_stack(
+            [rng.choice(raster.xs, n), rng.uniform(lo[1], hi[1], n)]
+        ),
+        np.column_stack(
+            [rng.uniform(lo[0], hi[0], n), rng.choice(raster.ys, n)]
+        ),
+    ])
+
+
 def _graph_workload(city, partition, seed: int, n: int = 60) -> list[Point]:
     b = city.bounds
-    xy = np.random.default_rng(seed).uniform(
-        (b.min_x, b.min_y), (b.max_x, b.max_y), size=(n, 2)
-    )
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform((b.min_x, b.min_y), (b.max_x, b.max_y), size=(n, 2))
+    xy = np.concatenate([xy, _snap_probes(city.coords, rng, n)])
     pts = [Point(float(x), float(y)) for x, y in xy]
     # far outside the city: they snap to boundary vertices, and drift
     # wherever the walk leaves those vertices' nodes
     pts += [Point(-50.0, -50.0), Point(1e3, b.min_y), Point(b.max_x, 75.0)]
     pts.append(_outside_envelope_member(partition, city)[1])
     return pts
+
+
+def _assert_kernel_matches_staged(graph_msm, city, partition, degraded,
+                                  seed):
+    drop = partition.children(partition.root)[1].path if degraded else None
+    kernel_msm, oracle_msm = _graph_pair(graph_msm, drop)
+    points = _graph_workload(city, partition, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegradedModeWarning)
+        a = kernel_msm.sanitize_batch(points, np.random.default_rng(seed))
+        b = oracle_walk(
+            oracle_msm.engine, points, np.random.default_rng(seed)
+        )
+    assert_same_walks(a, b)
+    assert any(s.x_hat_random for w in b for s in w.trace)
+    if degraded:
+        steps = [s for w in b for s in w.trace if s.node_path == drop]
+        assert steps and all(s.degraded for s in steps)
+        assert any(not w.degradation.clean for w in a)
+
+
+def _snap_sites(case: str) -> np.ndarray:
+    coords = synthetic_city(blocks=7, block_km=0.5, seed=42).coords
+    lattice = synthetic_city(blocks=7, block_km=0.5, jitter=0.0).coords
+    line = np.linspace(-1.0, 2.0, 40)
+    return {
+        "city": coords,
+        "lattice": lattice,
+        "one-site": np.array([[1.5, -2.0]]),
+        "collinear-x": np.column_stack([np.full(40, 3.0), line]),
+        "collinear-y": np.column_stack([line, np.full(40, 3.0)]),
+        "duplicates": np.concatenate([coords, coords[::5]]),
+        "translated": lattice + 1e6,
+    }[case]
+
+
+class TestSnapIndex:
+    """The kernel's raster-first snap returns exactly what a plain
+    cKDTree query returns, ties and errors included."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["city", "lattice", "one-site", "collinear-x", "collinear-y",
+         "duplicates", "translated"],
+    )
+    def test_matches_tree(self, case):
+        sites = _snap_sites(case)
+        rng = np.random.default_rng(5)
+        lo, hi = sites.min(axis=0), sites.max(axis=0)
+        pad = np.maximum(hi - lo, 1.0)
+        probes = np.concatenate([
+            _snap_probes(sites, rng, 300),
+            rng.uniform(lo - pad / 10, hi + pad / 10, size=(3000, 2)),
+            # far outside, on every side
+            lo + np.array([[-1e3, 0.0], [0.0, -1e3], [1e9, 1e9],
+                           [-1e9, 5.0], [5.0, 1e12]]),
+        ])
+        expect = cKDTree(sites).query(probes)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _SnapIndex(sites).query(probes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("case", ["city", "lattice", "translated"])
+    def test_table_answers_most_cells(self, case):
+        """The table is not empty: about three in four cells have one
+        provably nearest site, so most points skip the tree."""
+        raster = _SnapIndex(_snap_sites(case))
+        assert raster.shape == (64, 64)  # 8 * sqrt(64 sites) per axis
+        assert 0.6 < np.mean(raster.table >= 0) < 1.0
+
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, -np.inf)]
+    )
+    def test_non_finite_points_raise_like_the_tree(self, bad):
+        sites = _snap_sites("city")
+        probes = np.array([sites[3], bad])
+        with pytest.raises(ValueError):
+            cKDTree(sites).query(probes)
+        with pytest.raises(ValueError):
+            _SnapIndex(sites).query(probes)
 
 
 class TestGraphKernel:
@@ -394,21 +514,16 @@ class TestGraphKernel:
     @settings(max_examples=5, deadline=None, derandomize=True)
     def test_kernel_matches_staged(self, graph_msm, city, partition,
                                    degraded, seed):
-        drop = partition.children(partition.root)[1].path if degraded else None
-        kernel_msm, oracle_msm = _graph_pair(graph_msm, drop)
-        points = _graph_workload(city, partition, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedModeWarning)
-            a = kernel_msm.sanitize_batch(points, np.random.default_rng(seed))
-            b = oracle_walk(
-                oracle_msm.engine, points, np.random.default_rng(seed)
-            )
-        assert_same_walks(a, b)
-        assert any(s.x_hat_random for w in b for s in w.trace)
-        if degraded:
-            steps = [s for w in b for s in w.trace if s.node_path == drop]
-            assert steps and all(s.degraded for s in steps)
-            assert any(not w.degradation.clean for w in a)
+        _assert_kernel_matches_staged(
+            graph_msm, city, partition, degraded, seed
+        )
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_kernel_matches_staged_on_lattice(self, lattice, degraded, seed):
+        road, partition, msm = lattice
+        _assert_kernel_matches_staged(msm, road, partition, degraded, seed)
 
     def test_member_node_skips_the_envelope_test(self, graph_msm, city,
                                                  partition):
@@ -424,6 +539,19 @@ class TestGraphKernel:
         assert not levels[1].drifted[at_node].any()
         expect = partition.locate_child(node, p).path[-1]
         assert np.all(levels[1].x_hat[at_node] == expect)
+
+    def test_snap_index_built_on_first_walk_and_carried(self, graph_msm,
+                                                        city, partition):
+        compiled = graph_msm.engine.compile(build=False)
+        assert compiled._snap_index is None
+        coords = np.array(
+            [(p.x, p.y) for p in _graph_workload(city, partition, 4)]
+        )
+        compiled.walk_arrays(coords, np.random.default_rng(4))
+        built = compiled._snap_index
+        assert built is not None
+        assert compiled.refilled(graph_msm.cache)._snap_index is built
+        assert compiled.packed()._snap_index is built
 
     def test_arrays_round_trip(self, graph_msm):
         compiled = graph_msm.engine.compile(build=False)

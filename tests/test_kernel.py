@@ -37,15 +37,24 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.core.cache import NodeMechanismCache
-from repro.core.kernel import KIND_TILES, CompiledWalk, compile_walk
+from repro.core.kernel import (
+    KIND_GRID,
+    KIND_SPLIT_X,
+    KIND_SPLIT_Y,
+    KIND_TERMINAL,
+    KIND_TILES,
+    CompiledWalk,
+    compile_walk,
+)
 from repro.core.msm import MultiStepMechanism
 from repro.core.resilience import ResilienceConfig, ResilientSolver
 from repro.core.store import MechanismStore, config_fingerprint
-from repro.exceptions import DegradedModeWarning
+from repro.exceptions import DegradedModeWarning, MechanismError
 from repro.geo import BoundingBox, Point
 from repro.geo.metric import EUCLIDEAN
 from repro.grid import RegularGrid
 from repro.grid.hierarchy import HierarchicalGrid
+from repro.grid.index import ChildGeometry
 from repro.grid.kdtree import KDTreeIndex
 from repro.grid.quadtree import QuadtreeIndex
 from repro.grid.str_index import STRIndex
@@ -227,6 +236,60 @@ class TestCompileContract:
         assert np.all(compiled.kind[internal] == KIND_TILES)
         assert compiled.n_nodes == 1 + 9 + 81
 
+    @pytest.mark.parametrize(
+        "kind, expect",
+        [
+            ("gihi", (KIND_GRID, KIND_GRID)),
+            ("quad", (KIND_GRID, KIND_GRID, KIND_GRID)),
+            ("kd", (KIND_SPLIT_X, KIND_SPLIT_Y, KIND_SPLIT_X)),
+            ("str", (KIND_TILES, KIND_TILES)),
+        ],
+    )
+    def test_one_kind_per_level(self, kind, expect):
+        make_index, h, _ = _CONFIGS[kind]
+        msm = MultiStepMechanism(
+            make_index(), [1.0 / h] * h,
+            GridPrior.uniform(RegularGrid(BOUNDS, 4)),
+        )
+        compiled = compile_walk(msm.engine)
+        assert compiled.level_kind == expect
+        assert CompiledWalk.from_arrays(compiled.to_arrays()).level_kind \
+            == expect
+
+    def test_level_mixing_kinds_is_refused(self):
+        """One level-2 node located by tiles among grid siblings: the
+        level has no single locate pass, so the tree does not compile."""
+
+        class MixedGrid(HierarchicalGrid):
+            def child_geometry(self, node):
+                if node.path == (1,):
+                    return ChildGeometry(kind="tiles", fanout=4)
+                return super().child_geometry(node)
+
+        msm = MultiStepMechanism(
+            MixedGrid(BOUNDS, 2, 2), [0.5, 0.5],
+            GridPrior.uniform(RegularGrid(BOUNDS, 4)),
+        )
+        with pytest.raises(MechanismError, match="level 2 mixes child kinds"):
+            compile_walk(msm.engine)
+
+    def test_level_without_internal_nodes_is_terminal(self):
+        """A walk deeper than the tree: the extra level has no kind."""
+        msm = MultiStepMechanism(
+            QuadtreeIndex(
+                BOUNDS,
+                [Point(5.0, 5.0), Point(15.0, 5.0), Point(5.0, 15.0),
+                 Point(15.0, 15.0)],
+                capacity=3,
+                max_depth=3,
+            ),
+            [0.5, 0.5],
+            GridPrior.uniform(RegularGrid(BOUNDS, 4)),
+        )
+        assert compile_walk(msm.engine).level_kind == (
+            KIND_GRID, KIND_TERMINAL,
+        )
+
     def test_eviction_bumps_version_and_invalidates(self):
         msm = _gihi_msm(granularity=2)
         msm.precompute()
@@ -305,7 +368,7 @@ class TestCompileContract:
 
     def test_box_indexes_compile_without_membership_or_snap(self):
         """Planar trees carry empty membership arrays, and their walk
-        never builds the snap tree."""
+        never builds the snap index."""
         msm = _gihi_msm()
         msm.precompute()
         compiled = msm.engine.compile(build=False)
@@ -316,7 +379,7 @@ class TestCompileContract:
             np.array([(p.x, p.y) for p in _workload(SEED)]),
             np.random.default_rng(SEED),
         )
-        assert compiled._snap_tree is None
+        assert compiled._snap_index is None
 
     def test_small_batches_run_on_the_kernel(self):
         msm = _gihi_msm(granularity=2)
