@@ -86,6 +86,10 @@ class WalkResult(NamedTuple):
     (the optimal remap) to the point the walk itself produced, so
     provenance survives the output transformation; it is None when no
     remap ran.
+
+    Clean traceless results (no trace, no remap, no degraded step) are
+    shared: every such walk ending at one node returns the same
+    object.  Compare results by value (``==``), never by identity.
     """
 
     point: Point
@@ -533,9 +537,6 @@ class WalkEngine:
         results = self.run(points, rng, trace=trace)
         wall = time.perf_counter() - start
         delta = self._obs.snapshot().since(before)
-        degraded_walks = sum(
-            1 for w in results if not w.degradation.clean
-        )
         telemetry = TelemetrySummary(
             n_points=len(results),
             wall_seconds=wall,
@@ -547,7 +548,9 @@ class WalkEngine:
             degraded_steps=int(
                 delta.counter_total("repro_walk_degraded_steps_total")
             ),
-            degraded_walks=degraded_walks,
+            degraded_walks=int(
+                delta.counter_total("repro_walk_degraded_walks_total")
+            ),
             snapshot=delta,
         )
         return WalkReport(results=tuple(results), telemetry=telemetry)
@@ -573,8 +576,12 @@ class WalkEngine:
         results are built once afterwards from the per-level arrays:
         traces only when requested, degradation reports only for the
         (usually empty) degraded subset — every clean walk shares
-        :data:`CLEAN`.  Telemetry counters are computed exactly from
-        the same arrays.  A batch of one *is* the scalar path.
+        :data:`CLEAN`.  Without a trace or a remap a clean walk's
+        result depends on its final node alone, so the batch is one
+        gather over per-node results built once per tree (no object is
+        built per report), and only walks through a degraded node get
+        results of their own.  Telemetry counters are computed exactly
+        from the same arrays.  A batch of one *is* the scalar path.
         """
         points = list(points)
         n = len(points)
@@ -582,16 +589,26 @@ class WalkEngine:
             return []
         with self._obs.tracer.span("walk", n=n, path="kernel"):
             compiled, final_ids, levels = self._walk_ids(points, rng)
-            outputs, walked = self._outputs(compiled, final_ids, keep_raw=True)
-            reports = self._reports(compiled, levels, n)
-            traces = self._traces(compiled, levels, n) if trace else None
-            fields = zip(
-                outputs,
-                repeat(()) if traces is None else traces,
-                repeat(CLEAN) if reports is None else reports,
-                repeat(None) if walked is None else walked,
-            )
-            return list(map(_new_result, fields))
+            if trace or self.postprocessor is not None:
+                outputs, walked = self._outputs(
+                    compiled, final_ids, keep_raw=True
+                )
+                fields = zip(
+                    outputs,
+                    self._traces(compiled, levels, n) if trace else repeat(()),
+                    repeat(CLEAN),
+                    repeat(None) if walked is None else walked,
+                )
+                results = list(map(_new_result, fields))
+            else:
+                with self._obs.tracer.span("finalise", n=n, post="none"):
+                    results = list(map(
+                        self._clean_results(compiled).__getitem__,
+                        final_ids.tolist(),
+                    ))
+            for i, report in self._reports(compiled, levels).items():
+                results[i] = results[i]._replace(degradation=report)
+            return results
 
     def _walk_points(
         self, points: list[Point], rng: np.random.Generator
@@ -660,11 +677,26 @@ class WalkEngine:
         return (walked, None) if remapped is None else (remapped, walked)
 
     @staticmethod
+    def _clean_results(compiled: CompiledWalk) -> list[WalkResult]:
+        """Each node's clean traceless result, indexed by node id: the
+        result of every walk that ends there without a remap, a trace
+        or a degraded step.  Built once per tree from
+        ``center_points`` and carried with it by grown, refilled and
+        packed snapshots, so such a batch's results are one gather."""
+        table = compiled._clean_results
+        if table is None:
+            table = compiled._clean_results = [
+                _new_result((point, (), CLEAN, None))
+                for point in compiled.center_points
+            ]
+        return table
+
+    @staticmethod
     def _reports(
-        compiled: CompiledWalk, levels: list[LevelArrays], n: int
-    ) -> list[DegradationReport] | None:
-        """Each walk's degradation report; None when every walk is
-        clean."""
+        compiled: CompiledWalk, levels: list[LevelArrays]
+    ) -> dict[int, DegradationReport]:
+        """The degradation report of each walk through a degraded node,
+        by batch index (empty when every walk is clean)."""
         substitutions: dict[int, list[DegradedNode]] = {}
         for ld in levels:
             hit = np.flatnonzero(compiled.degraded[ld.ids])
@@ -681,12 +713,10 @@ class WalkEngine:
                         reason=compiled.reason[node_id] or "",
                     )
                 )
-        if not substitutions:
-            return None
-        reports = [CLEAN] * n
-        for i, nodes in substitutions.items():
-            reports[i] = DegradationReport(tuple(nodes))
-        return reports
+        return {
+            i: DegradationReport(tuple(nodes))
+            for i, nodes in substitutions.items()
+        }
 
     @staticmethod
     def _traces(

@@ -278,6 +278,11 @@ class CompiledWalk:
     _center_points: list[Point] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: every node's shared clean traceless walk result, built from
+    #: ``center_points`` by the engine on first use
+    _clean_results: list[Any] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         internal = self.child_count > 0
@@ -590,10 +595,12 @@ class CompiledWalk:
 
     def _with_rows(self, **changes: Any) -> "CompiledWalk":
         """``dataclasses.replace`` over row state, keeping the caches
-        built from the geometry (snap index, centre points)."""
+        built from the geometry (snap index, centre points and the
+        clean results built on them)."""
         out = replace(self, **changes)
         out._snap_index = self._snap_index
         out._center_points = self._center_points
+        out._clean_results = self._clean_results
         return out
 
     # ------------------------------------------------------------------

@@ -393,9 +393,12 @@ class MultiStepMechanism(Mechanism):
 
         ``trace=False`` skips per-point :class:`StepTrace`
         materialisation — sampled points, degradation reports and
-        telemetry are unchanged, but results carry empty traces (the
-        hot-path configuration; on the compiled kernel the walk then
-        touches no per-point Python objects until the final results).
+        telemetry are unchanged, but results carry empty traces.  It
+        is the hot-path configuration: without a remap, every clean
+        walk's result is the one shared by all walks ending at its
+        node (compare results by value, not identity), so the call
+        builds no object per report; only walks through a degraded
+        node get results of their own.
         """
         return self._engine.run(xs, rng, trace=trace)
 

@@ -234,12 +234,24 @@ class MechanismMatrix:
 def invert_cdf_rows(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Invert pre-gathered CDF rows at uniforms ``u`` (one per row).
 
-    Comparison-count inversion: output ``j`` iff
-    ``cdf[j-1] <= u < cdf[j]``.  Used by both :meth:`sample_rows` and
-    the compiled kernel's cross-node arena gather so the two paths are
-    bitwise identical given the same rows and uniforms.
+    Comparison-count inversion: output ``j`` is the number of the row's
+    entries strictly below ``u`` — ``cdf[j-1] < u <= cdf[j]``, what
+    ``np.searchsorted(row, u, side="left")`` returns — clamped to the
+    last output.  Used by both :meth:`sample_rows` and the compiled
+    kernel's cross-node arena gather so the two paths are bitwise
+    identical given the same rows and uniforms.
+
+    The ``(n, k)`` rows are compared transposed, into a C-contiguous
+    ``(k, n)`` byte buffer, and the counts are summed along its first
+    axis: ``k - 1`` whole-row additions rather than ``n`` short
+    reductions over ``k`` bools.  Counts are integers, so any summation
+    order gives the same result.
     """
-    out = (u[:, None] > cdf_rows).sum(axis=1)
+    n, k = cdf_rows.shape
+    below = np.empty((k, n), dtype=np.uint8)
+    np.greater(u, cdf_rows.T, out=below, casting="unsafe")
+    out = below.sum(axis=0, dtype=np.int64)
     # Float round-off can leave cdf[:, -1] a hair under 1.0; clamp so
     # a u drawn in that sliver still maps to the last output.
-    return np.minimum(out, cdf_rows.shape[1] - 1).astype(np.int64)
+    np.minimum(out, k - 1, out=out)
+    return out

@@ -10,6 +10,9 @@ goes up).
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from repro.mechanisms.matrix import invert_cdf_rows
 from repro.priors.base import GridPrior
 from repro.privacy.guard import guard_mechanism
 from repro.core.cache import NodeMechanismCache
+from repro.core.kernel import CompiledWalk
 from repro.core.engine import (
     CLEAN,
     OptimalRemapPostProcessor,
@@ -31,8 +35,18 @@ from repro.core.engine import (
     WalkEngine,
     WalkResult,
 )
-from repro.core.resilience import DegradationReport
+from repro.core.resilience import (
+    DegradationReport,
+    ResilienceConfig,
+    ResilientSolver,
+)
 from repro.core.msm import MultiStepMechanism
+from repro.testing.faults import (
+    FaultInjectingSolver,
+    FlakyCacheProxy,
+    RaiseFault,
+)
+from repro.testing.oracle import assert_same_walks, oracle_walk
 
 
 @pytest.fixture(scope="module")
@@ -449,3 +463,201 @@ class TestAdaptiveIndexBatch:
         scalar = msm.sample_with_report(x, np.random.default_rng(12))
         batch = msm.sanitize_batch([x], np.random.default_rng(12))
         assert scalar == batch[0]
+
+
+# ----------------------------------------------------------------------
+# clean traceless results are shared per final node
+# ----------------------------------------------------------------------
+def _fresh_msm(square20, uniform9, **kwargs) -> MultiStepMechanism:
+    return MultiStepMechanism(
+        HierarchicalGrid(square20, 3, 2), (0.5, 0.7), uniform9, **kwargs
+    )
+
+
+def _shared_table(msm: MultiStepMechanism) -> list[WalkResult]:
+    return msm.engine.compiled._clean_results
+
+
+def _assert_clean_and_shared(walks, expected, table) -> None:
+    """``walks`` equal the oracle's, each is a freshly built clean
+    traceless result, and each is one of ``table``'s shared objects."""
+    assert_same_walks(walks, expected)
+    shared = {id(r) for r in table}
+    for w in walks:
+        assert w == WalkResult(w.point, (), CLEAN, None)
+        assert w.degradation is CLEAN
+        assert id(w) in shared
+
+
+class TestSharedCleanResults:
+    def test_clean_batch_builds_no_per_report_objects(self, msm2):
+        """Once the tree's table exists, a clean traceless batch of
+        10,000 adds a handful of GC-tracked objects, not one per
+        report."""
+        pts = uniform_points(10_000, seed=5)
+        rng = np.random.default_rng(5)
+        msm2.sanitize_batch(pts, rng, trace=False)  # builds the table
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            walks = msm2.sanitize_batch(pts, rng, trace=False)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(walks) == 10_000
+        assert added <= 8
+
+    def test_equal_outputs_are_one_object(self, msm2):
+        walks = msm2.sanitize_batch(
+            uniform_points(500, seed=6), np.random.default_rng(6),
+            trace=False,
+        )
+        assert len({id(w) for w in walks}) == len({w.point for w in walks})
+        traced = msm2.sanitize_batch(
+            uniform_points(500, seed=6), np.random.default_rng(6)
+        )
+        assert [w.point for w in traced] == [w.point for w in walks]
+        assert len({id(w) for w in traced}) == 500
+
+    def test_cold_tree_grown_snapshots(self, square20, uniform9):
+        """A cold tree grows its snapshot on first visits; the table
+        built on the first batch is carried by every grown snapshot."""
+        kernel = _fresh_msm(square20, uniform9)
+        oracle = _fresh_msm(square20, uniform9)
+        table = None
+        for seed, n in enumerate((1, 5, 200)):
+            pts = uniform_points(n, seed=seed)
+            before = kernel.engine.compiled
+            walks = kernel.sanitize_batch(
+                pts, np.random.default_rng(seed), trace=False
+            )
+            assert kernel.engine.compiled is not before  # it grew
+            table = table or _shared_table(kernel)
+            assert _shared_table(kernel) is table
+            _assert_clean_and_shared(
+                walks,
+                oracle_walk(oracle.engine, pts, np.random.default_rng(seed),
+                            trace=False),
+                table,
+            )
+
+    def test_evicting_cache_refilled_snapshots(self, square20, uniform9):
+        kernel = _fresh_msm(square20, uniform9,
+                            cache=NodeMechanismCache(max_bytes=1))
+        oracle = _fresh_msm(square20, uniform9,
+                            cache=NodeMechanismCache(max_bytes=1))
+        table = None
+        for seed in range(4):
+            pts = uniform_points(30, seed=seed)
+            walks = kernel.sanitize_batch(
+                pts, np.random.default_rng(seed), trace=False
+            )
+            table = table or _shared_table(kernel)
+            assert _shared_table(kernel) is table
+            _assert_clean_and_shared(
+                walks,
+                oracle_walk(oracle.engine, pts, np.random.default_rng(seed),
+                            trace=False),
+                table,
+            )
+        assert kernel.cache.evictions > 0
+
+    def test_compile_after_clear_rebuilds_the_table(self, square20, uniform9):
+        msm = _fresh_msm(square20, uniform9)
+        msm.precompute()
+        pts = uniform_points(200, seed=7)
+        msm.sanitize_batch(pts, np.random.default_rng(7), trace=False)
+        old = _shared_table(msm)
+        msm.cache.clear()
+        msm.engine.compile()
+        assert _shared_table(msm) is None  # a fresh compile
+        walks = msm.sanitize_batch(pts, np.random.default_rng(7), trace=False)
+        assert _shared_table(msm) is not old
+        _assert_clean_and_shared(
+            walks,
+            oracle_walk(msm.engine, pts, np.random.default_rng(7), trace=False),
+            _shared_table(msm),
+        )
+
+    def test_adopted_snapshot_from_arrays(self, square20, uniform9):
+        msm = _fresh_msm(square20, uniform9)
+        msm.precompute()
+        pts = uniform_points(200, seed=8)
+        msm.sanitize_batch(pts, np.random.default_rng(8), trace=False)
+        old = _shared_table(msm)
+        clone = CompiledWalk.from_arrays(msm.engine.compile().to_arrays())
+        clone.cache_version = msm.cache.version
+        msm.engine.adopt_compiled(clone)
+        walks = msm.sanitize_batch(pts, np.random.default_rng(8), trace=False)
+        assert msm.engine.compiled is clone
+        assert clone._clean_results is not None
+        assert clone._clean_results is not old
+        _assert_clean_and_shared(
+            walks,
+            oracle_walk(msm.engine, pts, np.random.default_rng(8), trace=False),
+            clone._clean_results,
+        )
+
+    def test_degraded_node_walks_get_their_own_results(
+        self, square20, uniform9
+    ):
+        """One substituted node: exactly the walks through it carry a
+        report of their own; every other walk is a shared clean
+        result."""
+        def degraded_msm() -> MultiStepMechanism:
+            healthy = _fresh_msm(square20, uniform9)
+            healthy.precompute()
+            dead = ResilientSolver(
+                ResilienceConfig.starting_with("highs-ds"),
+                solve_fn=FaultInjectingSolver([RaiseFault(message="outage")]),
+            )
+            return _fresh_msm(
+                square20, uniform9, solver=dead,
+                cache=FlakyCacheProxy(healthy.cache, drop_paths=[(4,)]),
+            )
+
+        msm = degraded_msm()
+        pts = uniform_points(600, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            walks = msm.sanitize_batch(
+                pts, np.random.default_rng(9), trace=False
+            )
+            expected = oracle_walk(
+                degraded_msm().engine, pts, np.random.default_rng(9),
+                trace=False,
+            )
+            traced = degraded_msm().sanitize_batch(
+                pts, np.random.default_rng(9)
+            )
+        assert_same_walks(walks, expected)
+        through = [any(s.node_path == (4,) for s in w.trace) for w in traced]
+        assert 0 < sum(through) < len(pts)
+        shared = {id(r) for r in _shared_table(msm)}
+        for w, hit in zip(walks, through):
+            assert w.trace == () and w.raw_point is None
+            if hit:
+                assert not w.degradation.clean
+                assert [d.node_path for d in w.degradation.substitutions] == [(4,)]
+                assert id(w) not in shared
+            else:
+                assert w.degradation is CLEAN
+                assert id(w) in shared
+
+    def test_enable_remap_after_a_plain_walk(self, square20, uniform9):
+        msm = _fresh_msm(square20, uniform9)
+        msm.precompute()
+        pts = uniform_points(300, seed=10)
+        plain = msm.sanitize_batch(pts, np.random.default_rng(10), trace=False)
+        assert all(w.raw_point is None for w in plain)
+        msm.enable_remap()
+        walks = msm.sanitize_batch(pts, np.random.default_rng(10), trace=False)
+        assert_same_walks(
+            walks,
+            oracle_walk(msm.engine, pts, np.random.default_rng(10), trace=False),
+        )
+        assert [w.raw_point for w in walks] == [w.point for w in plain]
+        assert any(w.point != w.raw_point for w in walks)
+        shared = {id(r) for r in _shared_table(msm)}
+        assert not any(id(w) in shared for w in walks)

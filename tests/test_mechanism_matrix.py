@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.exceptions import MechanismError
 from repro.geo.metric import EUCLIDEAN
 from repro.geo.point import Point
-from repro.mechanisms.matrix import MechanismMatrix
+from repro.mechanisms.matrix import MechanismMatrix, invert_cdf_rows
 
 
 def line_points(n: int) -> list[Point]:
@@ -181,3 +181,100 @@ class TestProperties:
             prior, EUCLIDEAN
         )
         assert after <= before + 1e-9
+
+
+# ----------------------------------------------------------------------
+# the CDF inversion every sampler shares
+# ----------------------------------------------------------------------
+def _count_below(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The row-major comparison count ``invert_cdf_rows`` used to be."""
+    out = (u[:, None] > cdf_rows).sum(axis=1)
+    return np.minimum(out, cdf_rows.shape[1] - 1).astype(np.int64)
+
+
+def _searchsorted(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-row ``searchsorted(side="left")``, clamped to the last output."""
+    k = cdf_rows.shape[1]
+    return np.array(
+        [min(int(np.searchsorted(row, x, side="left")), k - 1)
+         for row, x in zip(cdf_rows, u)],
+        dtype=np.int64,
+    )
+
+
+def _random_cdf(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    probs = rng.random((n, k))
+    probs[rng.random((n, k)) < 0.2] = 0.0  # zero-probability outputs
+    probs[:, -1] += 1e-3
+    cdf = np.cumsum(probs, axis=1)
+    return cdf / cdf[:, -1:]
+
+
+class TestInvertCdfRows:
+    """``invert_cdf_rows`` against two formulas written out here: the
+    oracle walk samples through the function itself, so the kernel's
+    byte-identity suites cannot catch a wrong inversion."""
+
+    def _check(self, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+        got = invert_cdf_rows(cdf, u)
+        assert got.dtype == np.int64
+        assert got.shape == (cdf.shape[0],)
+        assert got.tolist() == _count_below(cdf, u).tolist()
+        if cdf.shape[0] <= 2_000:
+            assert got.tolist() == _searchsorted(cdf, u).tolist()
+        return got
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9, 36])
+    @pytest.mark.parametrize("n", [0, 1, 10_000])
+    def test_matches_reference_formulas(self, n, k):
+        rng = np.random.default_rng(1000 * k + n)
+        cdf = _random_cdf(rng, n, k)
+        got = self._check(cdf, rng.random(n))
+        assert ((got >= 0) & (got < k)).all()
+        # per-row searchsorted on a sample of the large batch
+        rows = rng.integers(0, max(n, 1), size=min(n, 500))
+        u = rng.random(n)
+        assert invert_cdf_rows(cdf, u)[rows].tolist() == (
+            _searchsorted(cdf[rows], u[rows]).tolist()
+        )
+
+    @pytest.mark.parametrize("k", [2, 4, 9, 36])
+    def test_uniform_equal_to_a_cdf_entry(self, k):
+        """``u == cdf[j]`` reports ``j``: the entry itself is not below."""
+        rng = np.random.default_rng(k)
+        cdf = _random_cdf(rng, 400, k)
+        cols = rng.integers(0, k, size=400)
+        u = cdf[np.arange(400), cols]
+        got = self._check(cdf, u)
+        # the first column equal to u (repeats share one position)
+        first = np.argmax(cdf == u[:, None], axis=1)
+        assert got.tolist() == first.tolist()
+
+    def test_repeated_entries_never_pick_zero_probability_outputs(self):
+        cdf = np.array([[0.25, 0.25, 0.25, 1.0],
+                        [0.0, 0.5, 0.5, 1.0],
+                        [0.5, 1.0, 1.0, 1.0]])
+        for u, want in [(0.1, [0, 1, 0]), (0.25, [0, 1, 0]),
+                        (0.3, [3, 1, 0]), (0.5, [3, 1, 0]),
+                        (0.7, [3, 3, 1]), (0.999, [3, 3, 1])]:
+            assert self._check(cdf, np.full(3, u)).tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 36])
+    def test_sliver_under_one_maps_to_last_output(self, k):
+        """A last entry a hair under 1.0: a ``u`` in that sliver (or at
+        1.0) still reports the last output, not ``k``."""
+        rng = np.random.default_rng(k)
+        cdf = _random_cdf(rng, 64, k)
+        cdf[:, -1] = 1.0 - 2.0 ** -50
+        u = np.where(
+            rng.random(64) < 0.5, 1.0 - 2.0 ** -52, np.nextafter(cdf[:, -1], 2.0)
+        )
+        assert self._check(cdf, u).tolist() == [k - 1] * 64
+
+    def test_does_not_modify_its_inputs(self):
+        rng = np.random.default_rng(3)
+        cdf = _random_cdf(rng, 50, 9)
+        u = rng.random(50)
+        cdf_before, u_before = cdf.copy(), u.copy()
+        self._check(cdf, u)
+        assert np.array_equal(cdf, cdf_before) and np.array_equal(u, u_before)

@@ -585,6 +585,40 @@ class TestTelemetryVersusTruth:
         assert t.snapshot == delta
         assert delta.counter_value("repro_walk_points_total") == 50
         assert delta.counter_value("repro_walk_batches_total") == 1
+        assert t.degraded_walks == t.degraded_steps == 0
+        # a batch through one substituted node: the report's degraded
+        # counts are the registry delta's and match the results
+        prior = GridPrior.uniform(RegularGrid(square20, 9))
+        index = HierarchicalGrid(square20, 3, 2)
+        healthy = MultiStepMechanism(index, (0.5, 0.7), prior)
+        healthy.precompute()
+        dead_solver = ResilientSolver(
+            ResilienceConfig.starting_with("highs-ds"),
+            solve_fn=FaultInjectingSolver([RaiseFault(message="outage")]),
+        )
+        obs = Observability.collecting()
+        msm = MultiStepMechanism(
+            index, (0.5, 0.7), prior, solver=dead_solver,
+            cache=FlakyCacheProxy(healthy.cache, drop_paths=[(4,)]), obs=obs,
+        )
+        for trace in (True, False):
+            before = obs.snapshot()
+            with pytest.warns(DegradedModeWarning):
+                report = msm.sanitize_batch_report(
+                    batch(400, seed=2), np.random.default_rng(2), trace=trace
+                )
+            t = report.telemetry
+            delta = obs.snapshot().since(before)
+            degraded_walks = sum(
+                1 for w in report.results if not w.degradation.clean
+            )
+            assert 0 < degraded_walks < 400
+            assert t.degraded_walks == degraded_walks
+            assert t.degraded_walks == delta.counter_total(
+                "repro_walk_degraded_walks_total"
+            )
+            # one level-2 node substituted: one degraded step per walk
+            assert t.degraded_steps == degraded_walks
 
     def test_steps_metric_counts_every_trace_step(self, square20):
         obs = Observability.collecting()
