@@ -22,16 +22,14 @@ journal and a **reserve → sample → commit** two-phase protocol:
     either way the epsilon is gone).  Audit-trail only; replay counts
     the reserve whether or not its commit survived.  So a commit is
     written without an fsync of its own: the next reservation group's
-    fsync, a release, or :meth:`BudgetLedger.close` makes it durable,
-    and a commit lost to a power cut replays as spent.
-``release``
-    Refunds a reservation that **provably never sampled** — abandoned
-    before dispatch (caller deadline elapsed), or drained by
-    ``stop()``.  The only op that subtracts, and the caller carries the
-    burden of proof: a release is only honoured when its reservation is
-    in the journal and was not committed first.  It keeps its fsync:
-    a record that hands budget back must be durable before the caller
-    acts on it.
+    fsync or :meth:`BudgetLedger.close` makes it durable, and a commit
+    lost to a power cut replays as spent.
+
+Journals may also hold ``release`` records, which older writers
+appended to refund a reservation that provably never sampled.  Nothing
+writes them any more, but replay still honours them, so a journal
+already on disk replays identically: a release subtracts only when its
+reservation is in the journal and was not committed first.
 
 Journal format — one JSON object per line::
 
@@ -51,7 +49,7 @@ an append retried after an ambiguous crash cannot double-charge.
 
 Compaction (:meth:`BudgetLedger.compact`) folds settled history into
 per-user ``snapshot`` entries and re-emits still-open reservations
-verbatim (so their later commit/release still matches), writing the
+verbatim (so their later commit still matches), writing the
 new journal through the same tmp-file → fsync → ``os.replace`` →
 directory-fsync sequence the mechanism store uses — a reader never
 observes a torn journal file.
@@ -291,13 +289,12 @@ class BudgetLedger:
         The journal file.  Created (with parents) on first append;
         replayed on open when it already exists.
     sync:
-        fsync reservations (once per group append), releases and
-        :meth:`close` — the default, and the mode the crash-safety
-        guarantee assumes.  Commits are never fsync'd on their own:
-        they ride on the next fsync.  ``sync=False`` skips every fsync,
-        trading durability of the *last few* entries for throughput —
-        replay is then still consistent, merely stale — and exists for
-        benchmarks and tests.
+        fsync reservations (once per group append) and :meth:`close` —
+        the default, and the mode the crash-safety guarantee assumes.
+        Commits are never fsync'd on their own: they ride on the next
+        fsync.  ``sync=False`` skips every fsync, trading durability of
+        the *last few* entries for throughput — replay is then still
+        consistent, merely stale — and exists for benchmarks and tests.
 
     Thread-safe: appends serialise on an internal lock, so reserve and
     settle may come from different threads.
@@ -362,7 +359,7 @@ class BudgetLedger:
             return self._spent.get(user, 0.0)
 
     def open_reservations(self) -> dict[str, OpenReservation]:
-        """Reservations not yet committed or released (a copy)."""
+        """Reservations not yet settled (a copy)."""
         with self._lock:
             return dict(self._open)
 
@@ -439,27 +436,6 @@ class BudgetLedger:
             )
             self._count("commit")
 
-    def release(self, entry_id: str) -> None:
-        """Refund a reservation that provably never sampled."""
-        with self._lock:
-            reservation = self._open.pop(entry_id, None)
-            if reservation is None:
-                if entry_id in self._settled:
-                    return  # already settled; the earlier decision wins
-                raise LedgerError(
-                    f"release for unknown reservation {entry_id!r}"
-                )
-            self._settled.add(entry_id)
-            self._seq += 1
-            self._append(
-                [{"seq": self._seq, "op": "release", "id": entry_id}]
-            )
-            remaining = (
-                self._spent.get(reservation.user, 0.0) - reservation.epsilon
-            )
-            self._spent[reservation.user] = max(0.0, remaining)
-            self._count("release")
-
     def _append(self, payloads: list[dict], sync: bool = True) -> None:
         """Write entries in one append; caller holds the lock."""
         try:
@@ -482,8 +458,8 @@ class BudgetLedger:
         """Rewrite the journal as snapshots + open reservations.
 
         Settled history collapses into one ``snapshot`` entry per user;
-        open reservations are re-emitted verbatim so a later commit or
-        release still matches.  Returns the number of entries in the
+        open reservations are re-emitted verbatim so a later commit
+        still matches.  Returns the number of entries in the
         compacted journal.  Atomic: the new journal is fully written
         and fsync'd in a temp file before ``os.replace`` publishes it.
         """

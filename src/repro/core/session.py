@@ -2,11 +2,14 @@
 
 The paper sanitises one location per invocation; a deployed client
 reports repeatedly, and by sequential composition every report spends
-part of the user's lifetime GeoInd budget.  A
-:class:`SanitizationSession` owns that bookkeeping: it holds one
-precomputed MSM per per-report budget, spends through a
-:class:`~repro.privacy.composition.BudgetAccountant`, refuses
-overdrafts, and exposes the remaining protection level at any time.
+part of the user's lifetime GeoInd budget.  That bookkeeping happens
+in one place, the :class:`ShardBudgetBook`: one
+:class:`~repro.privacy.composition.BudgetAccountant` per user,
+outstanding reservations, and an optional crash-safe ledger.  A
+serving-pool worker keeps one book for its shard's users; a
+:class:`SanitizationSession` is a book of one user around one
+precomputed per-report mechanism, which refuses overdrafts and
+exposes the remaining protection level at any time.
 
 This is an engineering extension of the paper (its Section 2.2
 composability discussion, applied in the opposite direction), not one
@@ -20,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import BudgetError
+from repro.exceptions import BudgetError, LedgerError
 from repro.geo.metric import EUCLIDEAN, Metric
 from repro.geo.point import Point
 from repro.mechanisms.base import Mechanism
 from repro.priors.base import GridPrior
-from repro.privacy.composition import BudgetAccountant, budget_slack
+from repro.privacy.composition import BudgetAccountant, check_budgets
 from repro.core.engine import WalkResult
+from repro.core.ledger import BudgetLedger
 from repro.core.msm import MultiStepMechanism
 from repro.core.resilience import DegradationReport, ResilienceConfig, ResilientSolver
 from repro.obs import NOOP, Observability
@@ -52,6 +56,188 @@ class SessionReport:
     def degraded(self) -> bool:
         """Whether any level of this report's walk was substituted."""
         return bool(self.degraded_levels)
+
+
+class ShardBudgetBook:
+    """Per-user lifetime budgets: the one admission and spend path.
+
+    One :class:`~repro.privacy.composition.BudgetAccountant` per user,
+    plus the ledger's reserve → sample → commit protocol.  A serving
+    pool worker keeps one book for its shard's users; a
+    :class:`SanitizationSession` is a book of one user.  Admission is a
+    single accountant predicate,
+    :meth:`~repro.privacy.composition.BudgetAccountant.can_afford` over
+    the user's settled spend plus outstanding reservations, so it costs
+    O(reports reserved), and :meth:`settle` spends with the very
+    arithmetic that predicate simulated.  On construction with a
+    ledger, replayed spend (committed *and* orphaned reservations —
+    fail closed) is restored into the accountants before any request
+    is admitted, and orphans are settled as final spend.
+
+    Not thread-safe: a shard worker processes batches serially, which
+    is exactly why per-user admission here has no race to close.
+    """
+
+    def __init__(
+        self,
+        lifetime_epsilon: float,
+        per_report_epsilon: float,
+        ledger: BudgetLedger | None = None,
+    ):
+        check_budgets(lifetime_epsilon, per_report_epsilon)
+        self._lifetime = float(lifetime_epsilon)
+        self._per_report = float(per_report_epsilon)
+        self._ledger = ledger
+        self._accounts: dict[str, BudgetAccountant] = {}
+        self._reports: dict[str, int] = {}
+        # reservations admitted but not yet settled — several requests
+        # for one user can share a batch, and admission must count the
+        # earlier ones or the batch overdrafts at settle time
+        self._outstanding: dict[str, int] = {}
+        self.replayed_users = 0
+        self.replayed_epsilon = 0.0
+        self.ledger_errors = 0
+        if ledger is not None:
+            replayed = ledger.spent_by_user()
+            for user in sorted(replayed):
+                epsilon = replayed[user]
+                if epsilon <= 0:
+                    continue
+                self._account(user).restore(epsilon, label="ledger-replay")
+                # number on from the replayed spend, so no sequence is
+                # reused; failure charges may leave gaps
+                self._reports[user] = round(epsilon / self._per_report)
+                self.replayed_users += 1
+                self.replayed_epsilon += epsilon
+            for entry_id in sorted(ledger.open_reservations()):
+                ledger.commit(entry_id)
+
+    @property
+    def per_report_epsilon(self) -> float:
+        return self._per_report
+
+    @property
+    def users(self) -> int:
+        return len(self._accounts)
+
+    def _account(self, user: str) -> BudgetAccountant:
+        account = self._accounts.get(user)
+        if account is None:
+            account = BudgetAccountant(total=self._lifetime)
+            self._accounts[user] = account
+        return account
+
+    def spent_for(self, user: str) -> float:
+        return self._account(user).spent
+
+    def remaining_for(self, user: str) -> float:
+        return self._account(user).remaining
+
+    def reports_for(self, user: str) -> int:
+        return self._reports.get(user, 0)
+
+    def reports_remaining(self, user: str) -> int:
+        """How many further reports ``user`` can be admitted: exact,
+        since it simulates every remaining spend."""
+        outstanding = self._outstanding.get(user, 0)
+        return self._account(user).affordable(self._per_report) - outstanding
+
+    def can_admit(self, user: str) -> bool:
+        return self.refusal(user) is None
+
+    def refusal(self, user: str, n: int = 1) -> BudgetError | None:
+        """None when ``n`` more reports for ``user`` fit on top of its
+        outstanding reservations, else the error refusing them."""
+        account = self._account(user)
+        outstanding = self._outstanding.get(user, 0)
+        if account.can_afford(self._per_report, outstanding + n):
+            return None
+        return BudgetError(
+            f"user {user!r}: lifetime budget exhausted — it cannot cover "
+            f"{n} more report(s) (remaining {account.remaining:.4g}, "
+            f"{outstanding} reserved, per-report {self._per_report:.4g})"
+        )
+
+    def admit(self, user: str) -> str | None:
+        """Admit one request: :meth:`admit_many` of one user, raising
+        its :class:`~repro.exceptions.BudgetError` on refusal."""
+        outcome = self.admit_many([user])[0]
+        if isinstance(outcome, BudgetError):
+            raise outcome
+        return outcome
+
+    def admit_many(
+        self, users: list[str]
+    ) -> list[str | None | BudgetError]:
+        """Admission-check a micro-batch and journal its reservations.
+
+        Each check counts the user's *outstanding* reservations on top
+        of settled spend, so admitting N same-user requests into one
+        batch can never overdraft at settle time.  Returns, per user,
+        the ledger entry id of its reservation (None without a ledger)
+        or the :class:`~repro.exceptions.BudgetError` that refused it.
+        The admitted reservations are journalled in one group append —
+        one fsync — and are durable before this returns, so the caller
+        may sample afterwards knowing a crash replays the spend.  If
+        that append raises, the error propagates and nothing may
+        sample; the reservations stay outstanding, since any of them
+        may have reached the journal.
+        """
+        outcomes: list[str | None | BudgetError] = []
+        admitted: list[int] = []
+        for user in users:
+            refusal = self.refusal(user)
+            if refusal is None:
+                self._outstanding[user] = self._outstanding.get(user, 0) + 1
+                admitted.append(len(outcomes))
+            outcomes.append(refusal)
+        if self._ledger is not None and admitted:
+            entry_ids = self._ledger.reserve_many(
+                [(users[slot], self._per_report) for slot in admitted]
+            )
+            for slot, entry_id in zip(admitted, entry_ids):
+                outcomes[slot] = entry_id
+        return outcomes
+
+    def settle(self, user: str, entry_id: str | None) -> int:
+        """Spend one delivered report; returns its per-user sequence."""
+        sequence = self._reports.get(user, 0)
+        self._account(user).spend(
+            self._per_report, label=f"report-{sequence}"
+        )
+        self._reports[user] = sequence + 1
+        self._close_reservation(user)
+        self._commit(entry_id)
+        return sequence
+
+    def charge_failure(self, user: str, entry_id: str | None) -> None:
+        """Fail closed: the walk may have drawn before failing."""
+        self._account(user).restore(
+            self._per_report, label="failed-report"
+        )
+        self._close_reservation(user)
+        self._commit(entry_id)
+
+    def _close_reservation(self, user: str) -> None:
+        count = self._outstanding.get(user, 0)
+        if count <= 1:
+            self._outstanding.pop(user, None)
+        else:
+            self._outstanding[user] = count - 1
+
+    def _commit(self, entry_id: str | None) -> None:
+        if self._ledger is None or entry_id is None:
+            return
+        try:
+            self._ledger.commit(entry_id)
+        except LedgerError:
+            # an uncommitted reservation replays as spent — the
+            # fail-closed direction; never kill the worker over it
+            self.ledger_errors += 1
+
+
+#: The one user a session's book accounts for.
+_USER = "session"
 
 
 class SanitizationSession:
@@ -118,17 +304,12 @@ class SanitizationSession:
         mechanism: Mechanism | None = None,
         obs: Observability | None = None,
     ):
-        if per_report_epsilon <= 0:
-            raise BudgetError(
-                f"per-report budget must be positive, got {per_report_epsilon}"
-            )
-        if per_report_epsilon > lifetime_epsilon:
-            raise BudgetError(
-                f"per-report budget {per_report_epsilon} exceeds lifetime "
-                f"budget {lifetime_epsilon}"
-            )
-        self._accountant = BudgetAccountant(total=lifetime_epsilon)
-        self._per_report = float(per_report_epsilon)
+        check_budgets(
+            lifetime_epsilon,
+            per_report_epsilon,
+            getattr(mechanism, "epsilon", None),
+        )
+        self._book = ShardBudgetBook(lifetime_epsilon, per_report_epsilon)
         if obs is not None:
             self._obs = obs
         else:
@@ -141,15 +322,6 @@ class SanitizationSession:
                 "repro_session_epsilon_remaining"
             ).set(self.remaining)
         if mechanism is not None:
-            mech_eps = getattr(mechanism, "epsilon", None)
-            if mech_eps is not None and (
-                mech_eps > per_report_epsilon + budget_slack(mech_eps)
-            ):
-                raise BudgetError(
-                    f"shared mechanism spends epsilon={mech_eps:.4g} per "
-                    f"report, more than the session's per-report budget "
-                    f"{per_report_epsilon:.4g}"
-                )
             self._mechanism = mechanism
         else:
             if prior is None:
@@ -181,30 +353,28 @@ class SanitizationSession:
     @property
     def per_report_epsilon(self) -> float:
         """Budget each report consumes."""
-        return self._per_report
+        return self._book.per_report_epsilon
 
     @property
     def spent(self) -> float:
         """Budget consumed so far."""
-        return self._accountant.spent
+        return self._book.spent_for(_USER)
 
     @property
     def remaining(self) -> float:
         """Budget still available."""
-        return self._accountant.remaining
+        return self._book.remaining_for(_USER)
 
     @property
     def reports_remaining(self) -> int:
         """How many further reports the lifetime budget affords.
 
-        Exact: delegates to
-        :meth:`~repro.privacy.composition.BudgetAccountant.affordable`,
-        which simulates the accountant's own arithmetic, so this equals
-        the number of :meth:`report` calls that will actually succeed.
-        (The float floor-division with its own nudge that lived here
-        could disagree with ``can_spend`` by one report.)
+        Exact: the book simulates the accountant's own arithmetic, so
+        this equals the number of :meth:`report` calls that will
+        actually succeed, and the largest batch :meth:`report_batch`
+        admits.
         """
-        return self._accountant.affordable(self._per_report)
+        return self._book.reports_remaining(_USER)
 
     @property
     def history(self) -> list[SessionReport]:
@@ -223,7 +393,7 @@ class SanitizationSession:
 
     def can_report(self) -> bool:
         """Whether another report fits the remaining budget."""
-        return self._accountant.can_spend(self._per_report)
+        return self._book.can_admit(_USER)
 
     # ------------------------------------------------------------------
     # reporting
@@ -250,54 +420,39 @@ class SanitizationSession:
             disabled.  No budget is spent in that case either — the
             failed walk never sampled from an unguarded matrix.
         """
-        if not self.can_report():
-            self._record_refusal()
-            raise BudgetError(
-                f"lifetime budget exhausted after {len(self._history)} "
-                f"reports (remaining {self.remaining:.4g} < "
-                f"per-report {self._per_report:.4g})"
-            )
+        self._admit(1)
         walk = self._mechanism.sample_with_report(x, rng)
-        return self.record_walk(x, walk)
+        return self._settle([x], [walk])[0]
 
-    def record_walk(self, x: Point, walk: WalkResult) -> SessionReport:
-        """Spend one report's budget for a walk sampled externally.
-
-        :meth:`report` samples and records through here; a caller that
-        samples several sessions' locations in one shared batch records
-        each outcome the same way (spend, history, degradation
-        provenance, metrics).
-
-        Raises
-        ------
-        BudgetError
-            When the lifetime budget cannot cover the report; nothing
-            is spent or recorded in that case.  Callers that sample
-            *before* recording must admission-check first with
-            :meth:`can_report`.
-        """
-        if not self.can_report():
+    def _admit(self, n: int) -> None:
+        """Refuse, before anything samples, ``n`` reports the book
+        cannot cover.  Nothing is reserved: the caller samples and
+        settles in one call, so a walk that raises leaves nothing to
+        undo and spends nothing."""
+        refusal = self._book.refusal(_USER, n)
+        if refusal is not None:
             self._record_refusal()
-            raise BudgetError(
-                f"lifetime budget exhausted after {len(self._history)} "
-                f"reports (remaining {self.remaining:.4g} < "
-                f"per-report {self._per_report:.4g})"
+            raise refusal
+
+    def _settle(
+        self, xs: Sequence[Point], walks: Sequence[WalkResult]
+    ) -> list[SessionReport]:
+        """Spend one report's budget per walk and record it."""
+        records = []
+        for x, walk in zip(xs, walks):
+            record = SessionReport(
+                sequence=self._book.settle(_USER, None),
+                actual=x,
+                reported=walk.point,
+                epsilon_spent=self.per_report_epsilon,
+                epsilon_remaining=self.remaining,
+                degraded_levels=walk.degradation.degraded_levels,
             )
-        self._accountant.spend(
-            self._per_report, label=f"report-{len(self._history)}"
-        )
-        record = SessionReport(
-            sequence=len(self._history),
-            actual=x,
-            reported=walk.point,
-            epsilon_spent=self._per_report,
-            epsilon_remaining=self.remaining,
-            degraded_levels=walk.degradation.degraded_levels,
-        )
-        self._history.append(record)
-        self._degradations.append(walk.degradation)
-        self._record_reports(1)
-        return record
+            self._history.append(record)
+            self._degradations.append(walk.degradation)
+            records.append(record)
+        self._record_reports(len(records))
+        return records
 
     def _record_reports(self, n: int) -> None:
         """Session-level budget metrics after ``n`` admitted reports."""
@@ -306,7 +461,7 @@ class SanitizationSession:
         metrics = self._obs.metrics
         metrics.counter("repro_session_reports_total").inc(n)
         metrics.counter("repro_session_epsilon_spent_total").inc(
-            n * self._per_report
+            n * self.per_report_epsilon
         )
         metrics.gauge("repro_session_epsilon_remaining").set(self.remaining)
 
@@ -320,9 +475,10 @@ class SanitizationSession:
         """Sanitise a batch of locations through the vectorised walk.
 
         Spends one report's budget per point and is all-or-nothing: the
-        whole batch must fit the remaining lifetime budget *before* any
+        book must afford every one of the batch's spends *before* any
         location is sampled, so a partial batch can never leak a walk
-        the accountant would have refused.  Every point still gets its
+        the accountant would have refused, and an admitted batch never
+        overdrafts while it settles.  Every point still gets its
         own :class:`SessionReport` (sequence number, spend, degradation
         provenance), exactly as if reported one by one.
 
@@ -335,30 +491,6 @@ class SanitizationSession:
         points = list(xs)
         if not points:
             return []
-        needed = len(points) * self._per_report
-        if not self._accountant.can_spend(needed):
-            self._record_refusal()
-            raise BudgetError(
-                f"lifetime budget cannot cover a batch of {len(points)} "
-                f"reports (remaining {self.remaining:.4g} < needed "
-                f"{needed:.4g}); no report was issued"
-            )
+        self._admit(len(points))
         walks = self._mechanism.sanitize_batch(points, rng)
-        records: list[SessionReport] = []
-        for x, walk in zip(points, walks):
-            self._accountant.spend(
-                self._per_report, label=f"report-{len(self._history)}"
-            )
-            record = SessionReport(
-                sequence=len(self._history),
-                actual=x,
-                reported=walk.point,
-                epsilon_spent=self._per_report,
-                epsilon_remaining=self.remaining,
-                degraded_levels=walk.degradation.degraded_levels,
-            )
-            self._history.append(record)
-            self._degradations.append(walk.degradation)
-            records.append(record)
-        self._record_reports(len(records))
-        return records
+        return self._settle(points, walks)

@@ -157,9 +157,9 @@ class ServeError(ReproError):
 class LedgerError(ReproError):
     """The durable budget ledger was misused or cannot be written.
 
-    Raised on malformed reserve/commit/release sequences (committing an
-    unknown entry id, releasing an already-committed reservation) and
-    on unwritable journal files.  *Never* raised for corruption found
+    Raised on malformed reserve/commit sequences (committing an unknown
+    entry id, reserving a non-positive epsilon) and on unwritable
+    journal files.  *Never* raised for corruption found
     while replaying a journal — torn tails and flipped bytes are an
     expected crash outcome; replay degrades fail-closed (skips the
     unreadable entries, counts every readable reservation as spent) and

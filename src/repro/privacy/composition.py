@@ -10,6 +10,7 @@ one user budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -52,14 +53,53 @@ def budget_slack(total: float) -> float:
 def fits_budget(epsilon: float, remaining: float, total: float) -> bool:
     """Whether spending ``epsilon`` fits ``remaining`` of ``total``.
 
-    This is *the* admission predicate: every component that asks "does
-    one more report fit?" — :meth:`BudgetAccountant.can_spend`,
-    :meth:`BudgetAccountant.affordable` (and through it
-    ``SanitizationSession.reports_remaining``), the serving front-end's
-    admission control — must route through it, so no two call sites can
-    disagree about the same budget state.
+    This is *the* admission predicate: :meth:`BudgetAccountant.spend`
+    refuses through it, and :meth:`BudgetAccountant.can_afford` — which
+    every admission goes through, the budget book of
+    :mod:`repro.core.session` included — and
+    :meth:`BudgetAccountant.affordable` simulate spends against it, so
+    no two call sites can disagree about the same budget state.
     """
     return 0 < epsilon <= remaining + budget_slack(total)
+
+
+def check_budgets(
+    lifetime_epsilon: float,
+    per_report_epsilon: float,
+    walk_epsilon: float | None = None,
+) -> None:
+    """Refuse a budget configuration no report could be honest under.
+
+    Both budgets must be finite and positive, one report must fit the
+    lifetime, and the walk a report runs (``walk_epsilon``, when known)
+    must not spend more than the report is charged.
+
+    Raises
+    ------
+    BudgetError
+        On the first violated rule.
+    """
+    for name, value in (
+        ("lifetime", lifetime_epsilon),
+        ("per-report", per_report_epsilon),
+    ):
+        if not 0 < value < math.inf:
+            raise BudgetError(
+                f"{name} budget must be finite and positive, got {value}"
+            )
+    if per_report_epsilon > lifetime_epsilon:
+        raise BudgetError(
+            f"per-report budget {per_report_epsilon} exceeds lifetime "
+            f"budget {lifetime_epsilon}"
+        )
+    if walk_epsilon is not None and (
+        walk_epsilon > per_report_epsilon + budget_slack(walk_epsilon)
+    ):
+        raise BudgetError(
+            f"the walk spends epsilon={walk_epsilon:.4g} per report, more "
+            f"than the per-report charge {per_report_epsilon:.4g}: a report "
+            f"may never cost more than the session or pool charges for it"
+        )
 
 
 @dataclass
@@ -78,12 +118,14 @@ class BudgetAccountant:
     spent_items: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise BudgetError(f"total budget must be positive, got {self.total}")
+        if not 0 < self.total < math.inf:
+            raise BudgetError(
+                f"total budget must be finite and positive, got {self.total}"
+            )
         # running total, maintained incrementally so that (a) spend /
         # can_spend are O(1) regardless of history length and (b)
-        # affordable() can simulate future spends with *exactly* the
-        # arithmetic spend() will perform.
+        # can_afford() / affordable() can simulate future spends with
+        # *exactly* the arithmetic spend() will perform.
         self._spent_total = 0.0
         for _, eps in self.spent_items:
             self._spent_total += float(eps)
@@ -99,14 +141,23 @@ class BudgetAccountant:
         return self.total - self._spent_total
 
     def can_spend(self, epsilon: float) -> bool:
-        """Whether a further expenditure of ``epsilon`` fits the budget.
+        """Whether a further expenditure of ``epsilon`` fits the budget."""
+        return self.can_afford(epsilon, 1)
 
-        Uses the shared relative-tolerance predicate
-        :func:`fits_budget`, so this answer always agrees with
-        :meth:`affordable` (and with anything else built on it, such as
-        ``SanitizationSession.reports_remaining``).
+    def can_afford(self, epsilon: float, n: int) -> bool:
+        """Whether ``n >= 1`` further spends of ``epsilon`` all succeed.
+
+        Simulates the ``n - 1`` additions :meth:`spend` would make and
+        checks only the last spend through :func:`fits_budget`: the
+        remainder shrinks with every simulated spend, so if the last
+        fits, every earlier one does.  Hence
+        ``can_afford(eps, n) == (affordable(eps) >= n)`` at O(n) cost,
+        where ``affordable`` walks the whole remaining lifetime.
         """
-        return fits_budget(epsilon, self.remaining, self.total)
+        simulated = self._spent_total
+        for _ in range(n - 1):
+            simulated += float(epsilon)
+        return fits_budget(epsilon, self.total - simulated, self.total)
 
     def affordable(self, epsilon: float) -> int:
         """How many further spends of ``epsilon`` will succeed.

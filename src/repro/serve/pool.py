@@ -18,11 +18,11 @@ the accountant records.
 :func:`shard_for_user` — a *stable, pure* function of the user id and
 the worker count (SHA-256 of the id, mod workers; no process-seeded
 ``hash()``).  All of a user's requests therefore serialise through one
-worker's :class:`ShardBudgetBook`, whose admission arithmetic is the
-same :class:`~repro.privacy.composition.BudgetAccountant` the serial
-session uses — there is no cross-process budget race because there is
-no cross-process budget *sharing*.  With a ledger directory, each
-shard journals reserve → sample → commit into its own
+worker's :class:`~repro.core.session.ShardBudgetBook` — the one budget
+book, which a serial :class:`~repro.core.session.SanitizationSession`
+keeps for its single user — so there is no cross-process budget race
+because there is no cross-process budget *sharing*.  With a ledger
+directory, each shard journals reserve → sample → commit into its own
 :class:`~repro.core.ledger.BudgetLedger` file — one fsync per batch,
 for the batch's reservations — so a crashed (even
 SIGKILLed) worker is respawned and replays its own journal: its
@@ -72,12 +72,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import BudgetError, LedgerError, ServeError
+from repro.exceptions import BudgetError, ServeError
 from repro.geo.point import Point
 from repro.obs import LATENCY_EDGES, NOOP, SIZE_EDGES, Observability
-from repro.privacy.composition import BudgetAccountant, budget_slack
+from repro.privacy.composition import check_budgets
 from repro.core.ledger import BudgetLedger, LedgerReplay, replay_many
-from repro.core.session import SessionReport
+from repro.core.session import SessionReport, ShardBudgetBook
 from repro.serve.arena import MechanismArena
 from repro.serve.server import ServerConfig, ServerStats
 
@@ -110,179 +110,6 @@ def shard_for_user(user_id: str, n_shards: int) -> int:
 def shard_journal_path(directory: str | Path, shard: int) -> Path:
     """Where shard ``shard``'s budget journal lives under ``directory``."""
     return Path(directory) / f"shard-{shard:03d}.journal"
-
-
-class ShardBudgetBook:
-    """One shard's per-user budget accounting (worker-process side).
-
-    The same arithmetic as :class:`~repro.core.session.SanitizationSession`
-    — one :class:`~repro.privacy.composition.BudgetAccountant` per user
-    — plus the ledger's reserve → sample → commit protocol.  On
-    construction with a ledger, replayed spend (committed *and* orphaned
-    reservations — fail closed) is restored into the accountants before
-    any request is admitted, and orphans are settled as final spend.
-
-    Not thread-safe: a shard worker processes batches serially, which
-    is exactly why per-user admission here has no race to close.
-    """
-
-    def __init__(
-        self,
-        lifetime_epsilon: float,
-        per_report_epsilon: float,
-        ledger: BudgetLedger | None = None,
-    ):
-        if per_report_epsilon <= 0:
-            raise BudgetError(
-                f"per-report budget must be positive, got {per_report_epsilon}"
-            )
-        if per_report_epsilon > lifetime_epsilon:
-            raise BudgetError(
-                f"per-report budget {per_report_epsilon} exceeds lifetime "
-                f"budget {lifetime_epsilon}"
-            )
-        self._lifetime = float(lifetime_epsilon)
-        self._per_report = float(per_report_epsilon)
-        self._ledger = ledger
-        self._accounts: dict[str, BudgetAccountant] = {}
-        self._reports: dict[str, int] = {}
-        # reservations admitted but not yet settled — several requests
-        # for one user can share a batch, and admission must count the
-        # earlier ones or the batch overdrafts at settle time
-        self._outstanding: dict[str, int] = {}
-        self.replayed_users = 0
-        self.replayed_epsilon = 0.0
-        self.ledger_errors = 0
-        if ledger is not None:
-            replayed = ledger.spent_by_user()
-            for user in sorted(replayed):
-                epsilon = replayed[user]
-                if epsilon <= 0:
-                    continue
-                self._account(user).restore(epsilon, label="ledger-replay")
-                # number on from the replayed spend, so no sequence is
-                # reused; failure charges may leave gaps
-                self._reports[user] = round(epsilon / self._per_report)
-                self.replayed_users += 1
-                self.replayed_epsilon += epsilon
-            for entry_id in sorted(ledger.open_reservations()):
-                ledger.commit(entry_id)
-
-    @property
-    def per_report_epsilon(self) -> float:
-        return self._per_report
-
-    @property
-    def users(self) -> int:
-        return len(self._accounts)
-
-    def _account(self, user: str) -> BudgetAccountant:
-        account = self._accounts.get(user)
-        if account is None:
-            account = BudgetAccountant(total=self._lifetime)
-            self._accounts[user] = account
-        return account
-
-    def spent_for(self, user: str) -> float:
-        return self._account(user).spent
-
-    def remaining_for(self, user: str) -> float:
-        return self._account(user).remaining
-
-    def reports_for(self, user: str) -> int:
-        return self._reports.get(user, 0)
-
-    def can_admit(self, user: str) -> bool:
-        return self._refusal(user) is None
-
-    def _refusal(self, user: str) -> BudgetError | None:
-        account = self._account(user)
-        outstanding = self._outstanding.get(user, 0)
-        if account.affordable(self._per_report) > outstanding:
-            return None
-        return BudgetError(
-            f"user {user!r}: lifetime budget cannot cover another "
-            f"report (remaining {account.remaining:.4g}, "
-            f"{outstanding} reserved, per-report "
-            f"{self._per_report:.4g})"
-        )
-
-    def admit(self, user: str) -> str | None:
-        """Admit one request: :meth:`admit_many` of one user, raising
-        its :class:`~repro.exceptions.BudgetError` on refusal."""
-        outcome = self.admit_many([user])[0]
-        if isinstance(outcome, BudgetError):
-            raise outcome
-        return outcome
-
-    def admit_many(
-        self, users: list[str]
-    ) -> list[str | None | BudgetError]:
-        """Admission-check a micro-batch and journal its reservations.
-
-        Each check counts the user's *outstanding* reservations on top
-        of settled spend, so admitting N same-user requests into one
-        batch can never overdraft at settle time.  Returns, per user,
-        the ledger entry id of its reservation (None without a ledger)
-        or the :class:`~repro.exceptions.BudgetError` that refused it.
-        The admitted reservations are journalled in one group append —
-        one fsync — and are durable before this returns, so the caller
-        may sample afterwards knowing a crash replays the spend.  If
-        that append raises, the error propagates and nothing may
-        sample; the reservations stay outstanding, since any of them
-        may have reached the journal.
-        """
-        outcomes: list[str | None | BudgetError] = []
-        admitted: list[int] = []
-        for user in users:
-            refusal = self._refusal(user)
-            if refusal is None:
-                self._outstanding[user] = self._outstanding.get(user, 0) + 1
-                admitted.append(len(outcomes))
-            outcomes.append(refusal)
-        if self._ledger is not None and admitted:
-            entry_ids = self._ledger.reserve_many(
-                [(users[slot], self._per_report) for slot in admitted]
-            )
-            for slot, entry_id in zip(admitted, entry_ids):
-                outcomes[slot] = entry_id
-        return outcomes
-
-    def settle(self, user: str, entry_id: str | None) -> int:
-        """Spend one delivered report; returns its per-user sequence."""
-        sequence = self._reports.get(user, 0)
-        self._account(user).spend(
-            self._per_report, label=f"report-{sequence}"
-        )
-        self._reports[user] = sequence + 1
-        self._close_reservation(user)
-        self._commit(entry_id)
-        return sequence
-
-    def charge_failure(self, user: str, entry_id: str | None) -> None:
-        """Fail closed: the walk may have drawn before failing."""
-        self._account(user).restore(
-            self._per_report, label="failed-report"
-        )
-        self._close_reservation(user)
-        self._commit(entry_id)
-
-    def _close_reservation(self, user: str) -> None:
-        count = self._outstanding.get(user, 0)
-        if count <= 1:
-            self._outstanding.pop(user, None)
-        else:
-            self._outstanding[user] = count - 1
-
-    def _commit(self, entry_id: str | None) -> None:
-        if self._ledger is None or entry_id is None:
-            return
-        try:
-            self._ledger.commit(entry_id)
-        except LedgerError:
-            # an uncommitted reservation replays as spent — the
-            # fail-closed direction; never kill the worker over it
-            self.ledger_errors += 1
 
 
 # ----------------------------------------------------------------------
@@ -904,9 +731,11 @@ class ServingPool:
     config:
         The :class:`~repro.serve.server.ServerConfig` envelope;
         ``coalesce_window`` / ``max_batch`` apply *per shard*,
-        ``max_pending`` pool-wide.  ``per_report_epsilon`` must cover
-        the arena's walk (the sum of its level budgets), or
-        :class:`~repro.exceptions.BudgetError` is raised.
+        ``max_pending`` pool-wide.  Both budgets must be finite and
+        positive, one report must fit the lifetime, and
+        ``per_report_epsilon`` must cover the arena's walk (the sum of
+        its level budgets), or :class:`~repro.exceptions.BudgetError`
+        is raised here, before any worker starts.
     workers:
         Number of worker processes (= budget shards).  On a single
         core the pool still serves correctly — the workers time-slice —
@@ -947,28 +776,19 @@ class ServingPool:
                 f"a serving pool needs >= 1 worker, got {workers}",
                 reason="config",
             )
-        if config.per_report_epsilon <= 0:
-            raise BudgetError(
-                f"per-report budget must be positive, "
-                f"got {config.per_report_epsilon}"
-            )
         if config.max_batch < 1:
             raise ServeError(
                 f"max_batch must be >= 1, got {config.max_batch}"
             )
         if not isinstance(arena, MechanismArena):
             arena = MechanismArena.open(arena)
-        # the session's rule: a report must never be charged less than
-        # the privacy its walk consumes
-        walk_epsilon = sum(arena.budgets)
-        if walk_epsilon > config.per_report_epsilon + budget_slack(
-            walk_epsilon
-        ):
-            raise BudgetError(
-                f"arena walk spends epsilon={walk_epsilon:.4g} per report, "
-                f"more than the per-report charge "
-                f"{config.per_report_epsilon:.4g}"
-            )
+        # refused here, before any worker forks and fails to build
+        # its book
+        check_budgets(
+            config.lifetime_epsilon,
+            config.per_report_epsilon,
+            sum(arena.budgets),
+        )
         self._arena = arena
         self._config = config
         self._workers = int(workers)

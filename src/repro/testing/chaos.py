@@ -43,7 +43,7 @@ from repro.core.ledger import BudgetLedger, LedgerReplay, OpenReservation
 from repro.testing.faults import FaultRule
 
 #: The ledger write ops a :class:`CrashPoint` can name.
-_OPS = ("reserve", "reserve_many", "commit", "release", "compact")
+_OPS = ("reserve", "reserve_many", "commit", "compact")
 
 
 class CrashError(RuntimeError):
@@ -60,7 +60,7 @@ class CrashPoint:
     """Where in the ledger protocol to die.
 
     ``op`` is the ledger method name (``"reserve"``, ``"reserve_many"``,
-    ``"commit"``, ``"release"``, ``"compact"``); ``nth`` is the 1-based
+    ``"commit"``, ``"compact"``); ``nth`` is the 1-based
     call count of that op; ``when`` is ``"before"`` (the append never
     happened) or ``"after"`` (the append is durable, the caller never
     saw it succeed).
@@ -88,12 +88,12 @@ class CrashingLedger:
     """A :class:`BudgetLedger` proxy that dies on schedule.
 
     Drop-in wherever a ledger is accepted (a
-    :class:`~repro.serve.ShardBudgetBook`'s ``ledger=`` parameter, which
-    the pool's workers drive): all reads pass through, and each write op
-    checks the scripted :class:`CrashPoint` list before and after
-    delegating.  After a crash fires, every subsequent write also
-    raises — a dead process does not come back — until the test builds
-    a fresh ledger over the surviving journal file.
+    :class:`~repro.core.session.ShardBudgetBook`'s ``ledger=``
+    parameter, which the pool's workers drive): all reads pass through,
+    and each write op checks the scripted :class:`CrashPoint` list
+    before and after delegating.  After a crash fires, every subsequent
+    write also raises — a dead process does not come back — until the
+    test builds a fresh ledger over the surviving journal file.
     """
 
     def __init__(
@@ -155,12 +155,6 @@ class CrashingLedger:
         spans = self._enter(commit=1)
         self._inner.commit(entry_id)
         self.log.append(("commit", entry_id))
-        self._maybe_crash("after", spans)
-
-    def release(self, entry_id: str) -> None:
-        spans = self._enter(release=1)
-        self._inner.release(entry_id)
-        self.log.append(("release", entry_id))
         self._maybe_crash("after", spans)
 
     def compact(self) -> int:

@@ -2,6 +2,7 @@
 Problem 1, Algorithm 2)."""
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import BudgetError
+from repro.core.engine import WalkResult
+from repro.core.ledger import BudgetLedger
+from repro.core.resilience import DegradationReport
+from repro.core.session import SanitizationSession, ShardBudgetBook
+from repro.geo.point import Point
 from repro.core.budget import (
     allocate_budget,
     allocate_budget_fixed_height,
@@ -24,6 +30,104 @@ from repro.core.budget import (
     series_coefficient,
     truncation_radius,
 )
+
+
+class _CountingMechanism:
+    """A stub per-report mechanism: echoes each point and counts how
+    many it sampled (no LP work, pure accounting)."""
+
+    name = "echo"
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+        self.sampled = 0
+
+    def sample_with_report(self, x, rng):
+        self.sampled += 1
+        return WalkResult(
+            point=x, trace=(), degradation=DegradationReport(())
+        )
+
+    def sanitize_batch(self, xs, rng):
+        return [self.sample_with_report(x, rng) for x in xs]
+
+
+class _Drive(NamedTuple):
+    """What one admission path delivered from a fresh lifetime."""
+
+    delivered: int
+    sampled: Callable[[], int]
+    admit_next: Callable[[], object]
+
+
+def _drive_session_report(lifetime, per_report, tmp_path) -> _Drive:
+    mechanism = _CountingMechanism(per_report)
+    session = SanitizationSession(lifetime, per_report, mechanism=mechanism)
+    rng = np.random.default_rng(0)
+    delivered = 0
+    while session.can_report():
+        session.report(Point(1.0, 1.0), rng)
+        delivered += 1
+    return _Drive(
+        delivered,
+        lambda: mechanism.sampled,
+        lambda: session.report(Point(1.0, 1.0), rng),
+    )
+
+
+def _drive_session_batch(lifetime, per_report, tmp_path) -> _Drive:
+    mechanism = _CountingMechanism(per_report)
+    session = SanitizationSession(lifetime, per_report, mechanism=mechanism)
+    rng = np.random.default_rng(0)
+    records = session.report_batch(
+        [Point(1.0, 1.0)] * session.reports_remaining, rng
+    )
+    return _Drive(
+        len(records),
+        lambda: mechanism.sampled,
+        lambda: session.report_batch([Point(1.0, 1.0)], rng),
+    )
+
+
+def _drive_book(lifetime, per_report, ledger) -> _Drive:
+    book = ShardBudgetBook(lifetime, per_report, ledger=ledger)
+    # ask for more than can fit: admit_many refuses the excess per
+    # request, and each admitted request is sampled, then settled
+    outcomes = book.admit_many(["u"] * (book.reports_remaining("u") + 2))
+    admitted = [o for o in outcomes if not isinstance(o, BudgetError)]
+    for entry_id in admitted:
+        book.settle("u", entry_id)
+    return _Drive(
+        len(admitted), lambda: len(admitted), lambda: book.admit("u")
+    )
+
+
+def _drive_book_with_ledger(lifetime, per_report, tmp_path) -> _Drive:
+    ledger = BudgetLedger(tmp_path / "journal")
+    try:
+        return _drive_book(lifetime, per_report, ledger)
+    finally:
+        ledger.close()
+
+
+_ADMISSION_PATHS = {
+    "session-report": _drive_session_report,
+    "session-batch": _drive_session_batch,
+    "book": lambda lifetime, per_report, tmp_path: _drive_book(
+        lifetime, per_report, None
+    ),
+    "book-ledger": _drive_book_with_ledger,
+}
+
+#: Lifetimes just short of a whole number of reports (where the
+#: product ``n * per_report`` and ``n`` sequential spends disagree),
+#: and every divisor 1..50 of a unit lifetime.
+_ADMISSION_GRID = [
+    pytest.param(0.399999999, 0.1, id="0.399999999-per-0.1"),
+    pytest.param(0.599999999, 0.1, id="0.599999999-per-0.1"),
+] + [
+    pytest.param(1.0, 1.0 / d, id=f"1.0-per-1_{d}") for d in range(1, 51)
+]
 
 
 class TestSpecialFunctions:
@@ -377,42 +481,96 @@ class TestAccountantAdmissionConsistency:
             succeeded += 1
         assert succeeded == predicted
 
-    @given(divisor=st.integers(min_value=1, max_value=50))
-    @settings(max_examples=50, deadline=None)
-    def test_session_reports_remaining_is_exact(self, divisor):
-        """Session-level end-to-end: ``reports_remaining`` equals the
-        number of ``report()`` calls that actually succeed, through a
-        stub mechanism (no LP work, pure accounting)."""
-        from repro.geo.point import Point
-        from repro.core.engine import WalkResult
-        from repro.core.resilience import DegradationReport
-        from repro.core.session import SanitizationSession
-        from repro.exceptions import BudgetError
+    @given(
+        total=st.floats(min_value=1e-3, max_value=100.0),
+        per_report=st.floats(min_value=1e-4, max_value=10.0),
+        spent=st.integers(min_value=0, max_value=40),
+        n=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_can_afford_is_affordable_at_least(
+        self, total, per_report, spent, n
+    ):
+        """The admission predicate is the exact count, cut short."""
+        from repro.privacy.composition import BudgetAccountant
 
-        class _EchoMechanism:
-            epsilon = 1.0 / divisor
-            name = "echo"
-
-            def sample_with_report(self, x, rng):
-                return WalkResult(
-                    point=x, trace=(), degradation=DegradationReport(())
-                )
-
-        session = SanitizationSession(
-            lifetime_epsilon=1.0,
-            per_report_epsilon=1.0 / divisor,
-            mechanism=_EchoMechanism(),
+        accountant = BudgetAccountant(total=total)
+        for _ in range(spent):
+            if not accountant.can_spend(per_report):
+                break
+            accountant.spend(per_report)
+        assert accountant.can_afford(per_report, n) == (
+            accountant.affordable(per_report) >= n
         )
-        predicted = session.reports_remaining
-        rng = np.random.default_rng(0)
-        succeeded = 0
-        while session.can_report():
-            session.report(Point(1.0, 1.0), rng)
-            succeeded += 1
-        assert succeeded == predicted
-        assert session.reports_remaining == 0
+
+    @pytest.mark.parametrize("path", sorted(_ADMISSION_PATHS))
+    @pytest.mark.parametrize("lifetime, per_report", _ADMISSION_GRID)
+    def test_admission_conformance(
+        self, path, lifetime, per_report, tmp_path
+    ):
+        """Every path that admits reports delivers exactly the starting
+        ``affordable`` count, then refuses, and never raises
+        :class:`BudgetError` after sampling."""
+        from repro.privacy.composition import BudgetAccountant
+
+        affordable = BudgetAccountant(total=lifetime).affordable(per_report)
+        drive = _ADMISSION_PATHS[path](lifetime, per_report, tmp_path)
+        assert drive.delivered == affordable
         with pytest.raises(BudgetError):
-            session.report(Point(1.0, 1.0), rng)
+            drive.admit_next()
+        assert drive.sampled() == drive.delivered
+
+    def test_report_batch_refuses_what_it_cannot_settle(self):
+        """0.1 + 0.1 + 0.1 leaves 0.399999999 short of a fourth 0.1, so
+        a batch of four is refused whole: nothing sampled or spent."""
+        mechanism = _CountingMechanism(0.1)
+        session = SanitizationSession(
+            0.399999999, 0.1, mechanism=mechanism
+        )
+        with pytest.raises(BudgetError):
+            session.report_batch(
+                [Point(1.0, 1.0)] * 4, np.random.default_rng(0)
+            )
+        assert mechanism.sampled == 0
+        assert session.spent == 0.0
+        assert session.history == []
+
+    def test_report_batch_delivers_what_reports_remaining_promises(self):
+        """Six sequential 0.1 spends fit 0.599999999 although their
+        product ``6 * 0.1`` does not: a batch of six is delivered."""
+        session = SanitizationSession(
+            0.599999999, 0.1, mechanism=_CountingMechanism(0.1)
+        )
+        assert session.reports_remaining == 6
+        records = session.report_batch(
+            [Point(1.0, 1.0)] * 6, np.random.default_rng(0)
+        )
+        assert [r.sequence for r in records] == list(range(6))
+        assert not session.can_report()
+
+    @pytest.mark.parametrize(
+        "lifetime, per_report",
+        [
+            (math.inf, 0.1),
+            (math.nan, 0.1),
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1.0, 0.0),
+            (0.1, 0.5),
+        ],
+    )
+    def test_book_and_session_refuse_invalid_budgets(
+        self, lifetime, per_report
+    ):
+        """An infinite lifetime would make ``affordable`` loop forever;
+        every budget must be finite and positive, and one report must
+        fit the lifetime."""
+        with pytest.raises(BudgetError):
+            ShardBudgetBook(lifetime, per_report)
+        with pytest.raises(BudgetError):
+            SanitizationSession(
+                lifetime, per_report, mechanism=_CountingMechanism(0.1)
+            )
 
 
 # ----------------------------------------------------------------------

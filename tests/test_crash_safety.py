@@ -38,7 +38,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.ledger import BudgetLedger, replay_journal
+from repro.core.ledger import BudgetLedger, _encode, replay_journal
 from repro.core.resilience import (
     BreakerConfig,
     CircuitBreakerSolver,
@@ -125,6 +125,14 @@ def _delivered(outcomes) -> int:
     return sum(1 for outcome in outcomes if outcome[0] == "ok")
 
 
+def _append_release(path, entry_id: str) -> None:
+    """Append a ``release`` record, as older ledgers wrote one: replay
+    still honours such records, though nothing writes them now."""
+    seq = replay_journal(path).max_seq + 1
+    with open(path, "ab") as fh:
+        fh.write(_encode({"seq": seq, "op": "release", "id": entry_id}))
+
+
 def _journal_invariant(path, delivered: dict[str, int], lifetime: float):
     """The acceptance invariant: replayed spend bounds what each user
     received, without exceeding the lifetime budget."""
@@ -151,7 +159,8 @@ class TestLedgerReplay:
             b = ledger.reserve("u1", 0.5)
             c = ledger.reserve("u2", 1.0)
             ledger.commit(a)
-            ledger.release(b)  # provably never sampled
+        _append_release(path, b)  # provably never sampled
+        with BudgetLedger(path) as ledger:
             assert ledger.spent_for("u1") == pytest.approx(0.5)
             assert ledger.spent_for("u2") == pytest.approx(1.0)
 
@@ -190,8 +199,9 @@ class TestLedgerReplay:
         with BudgetLedger(path) as ledger:
             a = ledger.reserve("u", 1.0)
             ledger.commit(a)
-            ledger.release(a)  # late refund attempt: the commit wins
-            ledger.commit(a)  # and double-settle is idempotent
+            ledger.commit(a)  # double-settle is idempotent
+        _append_release(path, a)  # late refund attempt: the commit wins
+        with BudgetLedger(path) as ledger:
             assert ledger.spent_for("u") == pytest.approx(1.0)
         assert replay_journal(path).spent_for("u") == pytest.approx(1.0)
 
@@ -199,8 +209,6 @@ class TestLedgerReplay:
         with BudgetLedger(tmp_path / "journal") as ledger:
             with pytest.raises(LedgerError, match="unknown"):
                 ledger.commit("ghost-1")
-            with pytest.raises(LedgerError, match="unknown"):
-                ledger.release("ghost-1")
             with pytest.raises(LedgerError, match="positive"):
                 ledger.reserve("u", 0.0)
 
@@ -243,7 +251,8 @@ class TestLedgerReplay:
         path = tmp_path / "journal"
         with BudgetLedger(path) as ledger:
             a = ledger.reserve("u", 1.0)
-            ledger.release(a)
+        _append_release(path, a)
+        with BudgetLedger(path) as ledger:
             assert ledger.spent_for("u") == 0.0
         corrupt_journal_entry(path, 1)  # destroy the release line
         replay = replay_journal(path)
@@ -263,7 +272,7 @@ class TestLedgerReplay:
             a = ledger.reserve("u1", 1.0)
             b = ledger.reserve("u2", 2.0)
             ledger.commit(a)
-            ledger.release(b)
+        _append_release(path, b)
         baseline = replay_journal(path)
         n_lines = len(path.read_bytes().splitlines())
         pristine = path.read_bytes()
@@ -536,19 +545,15 @@ class TestGroupCommit:
         assert replay.open_reservations == {}
         ledger.close()
 
-    def test_commit_rides_on_next_fsync_release_keeps_its_own(
-        self, tmp_path, fsyncs
-    ):
+    def test_commit_rides_on_next_fsync(self, tmp_path, fsyncs):
         path = tmp_path / "journal"
         with BudgetLedger(path) as ledger:
             fsyncs.clear()
             ledger.commit(ledger.reserve("u", EPS))
             assert len(fsyncs) == 1  # the reserve's
-            ledger.release(ledger.reserve("u", EPS))
-            assert len(fsyncs) == 3  # the reserve's and the release's
         replay = replay_journal(path)
         assert replay.spent_for("u") == pytest.approx(EPS)
-        assert (replay.committed, replay.released) == (1, 1)
+        assert replay.committed == 1
 
     def test_crash_after_group_reserve_replays_every_reservation(
         self, tmp_path, serve_arena

@@ -595,6 +595,27 @@ class TestServerAdmission:
             workers=1,
         )
 
+    @pytest.mark.parametrize(
+        "lifetime, per_report",
+        [
+            (float("inf"), 1.0),
+            (float("nan"), 1.0),
+            (10.0, float("inf")),
+            (10.0, float("nan")),
+            (0.5, 1.0),
+        ],
+    )
+    def test_invalid_budgets_refused_at_construction(
+        self, serve_arena, lifetime, per_report
+    ):
+        """A budget no worker could build its book from is refused by
+        the constructor, before any worker process starts."""
+        config = ServerConfig(
+            lifetime_epsilon=lifetime, per_report_epsilon=per_report
+        )
+        with pytest.raises(BudgetError):
+            ServingPool(serve_arena, config, workers=1)
+
 
 @pytest.mark.statistical
 class TestPoolDistributionEquivalence:
