@@ -5,10 +5,11 @@ Subcommands::
     repro info        --dataset gowalla            dataset statistics
     repro plan        --epsilon 0.5 --g 4          budget allocation plan
     repro sanitize    --epsilon 0.5 --g 4 --x --y  sanitise one location
-    repro sanitize    --bundle austin.npz --x --y  sample a saved bundle
+    repro sanitize    --bundle austin --x --y      sample a saved bundle
     repro sanitize    ... --metrics [PATH]         + Prometheus metrics dump
     repro sanitize    ... --trace-out PATH         + span/metric JSON lines
-    repro bundle      --epsilon 0.5 --g 4 --out p  write an offline bundle
+    repro bundle      --epsilon 0.5 --g 4 --out d  write an offline bundle
+                      (a mechanism arena directory)
     repro serve       --epsilon 0.5 --requests 200 drive the serving
                       pool with concurrent synthetic clients
     repro experiment  fig3|fig5|table2|fig6|fig8|fig10|latency|
@@ -126,7 +127,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_bundle(args: argparse.Namespace) -> int:
-    from repro.core.bundle import save_bundle
+    from repro.core.store import write_mechanism
 
     dataset = _load_dataset(args.dataset, args.fraction)
     grid = RegularGrid(dataset.bounds, args.prior_granularity)
@@ -135,11 +136,11 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
         args.epsilon, args.g, prior, rho=args.rho,
         spanner_dilation=args.dilation,
     )
-    info = save_bundle(msm, args.out)
-    print(f"bundle       : {info.path}")
-    print(f"node LPs     : {info.n_nodes}")
-    print(f"size         : {info.size_bytes / 1024:.1f} KiB")
-    print(f"epsilon      : {info.epsilon}, height {info.height}")
+    arena = write_mechanism(msm, args.out)
+    print(f"bundle       : {arena.directory}")
+    print(f"node LPs     : {len(msm.cache)}")
+    print(f"size         : {arena.nbytes / 1024:.1f} KiB")
+    print(f"epsilon      : {msm.epsilon}, height {msm.height}")
     return 0
 
 
@@ -177,9 +178,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     x = Point(args.x, args.y)
     obs = _make_observability(args)
     if args.bundle is not None:
-        from repro.core.bundle import load_bundle
+        from repro.core.store import load_mechanism
 
-        msm = load_bundle(args.bundle)
+        msm = load_mechanism(args.bundle)
         if not msm.index.bounds.contains(x):
             raise SystemExit(
                 f"location ({args.x}, {args.y}) outside the bundle domain"
@@ -435,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_san.add_argument("--g", type=int, default=4)
     p_san.add_argument("--rho", type=float, default=0.8)
     p_san.add_argument("--prior-granularity", type=int, default=16)
-    p_san.add_argument("--bundle", default=None,
-                       help="sample from a precomputed bundle instead")
+    p_san.add_argument("--bundle", default=None, metavar="DIR",
+                       help="sample from a bundle written by `repro bundle` "
+                            "instead")
     p_san.add_argument("--x", type=float, required=True,
                        help="planar x in km")
     p_san.add_argument("--y", type=float, required=True,
@@ -464,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bundle.add_argument("--g", type=int, default=4)
     p_bundle.add_argument("--rho", type=float, default=0.8)
     p_bundle.add_argument("--prior-granularity", type=int, default=16)
-    p_bundle.add_argument("--out", required=True, help="output .npz path")
+    p_bundle.add_argument("--out", required=True, metavar="DIR",
+                          help="output arena directory")
     _add_dilation_arg(p_bundle)
     p_bundle.set_defaults(func=_cmd_bundle)
 

@@ -9,7 +9,6 @@ from repro.core.budget import (
     phi,
     phi_for_grid,
 )
-from repro.core.bundle import BundleInfo, load_bundle, sample_from_bundle, save_bundle
 from repro.core.cache import CacheEntry, NodeMechanismCache
 from repro.core.ledger import (
     BudgetLedger,
@@ -17,7 +16,13 @@ from repro.core.ledger import (
     OpenReservation,
     replay_journal,
 )
-from repro.core.store import MechanismStore, StoreRecord, config_fingerprint
+from repro.core.store import (
+    MechanismStore,
+    StoreRecord,
+    config_fingerprint,
+    load_mechanism,
+    write_mechanism,
+)
 from repro.core.engine import (
     OptimalRemapPostProcessor,
     TelemetrySummary,
@@ -41,7 +46,6 @@ __all__ = [
     "BreakerConfig",
     "BudgetLedger",
     "BudgetPlan",
-    "BundleInfo",
     "CacheEntry",
     "CircuitBreakerSolver",
     "DegradationReport",
@@ -72,7 +76,6 @@ __all__ = [
     "min_lattice_parameter",
     "phi",
     "phi_for_grid",
-    "load_bundle",
-    "sample_from_bundle",
-    "save_bundle",
+    "load_mechanism",
+    "write_mechanism",
 ]

@@ -418,8 +418,8 @@ class WalkEngine:
         return walk
 
     def adopt_compiled(self, compiled: CompiledWalk) -> None:
-        """Adopt an externally built complete snapshot (e.g. a store
-        sidecar)."""
+        """Adopt an externally built complete snapshot (e.g. one
+        rebuilt with :meth:`CompiledWalk.from_arrays`)."""
         if not compiled.complete:
             raise MechanismError("cannot adopt an incomplete kernel snapshot")
         with self._lock:

@@ -256,6 +256,8 @@ class CompiledWalk:
     # per-level CDF arenas, index ``level`` (0-based)
     cdf_levels: list[np.ndarray]
     budgets: tuple[float, ...]
+    #: name of the dX metric the node mechanisms were guarded under
+    dx: str
     #: root→node child-position paths, reconstructable from the CSR
     paths: list[tuple[int, ...]]
     #: cache content version this snapshot was compiled against
@@ -317,7 +319,7 @@ class CompiledWalk:
         total = sum(
             np.asarray(value).nbytes
             for key, value in self.to_arrays().items()
-            if key not in ("source", "reason")
+            if key not in ("source", "reason", "dx")
         )
         return int(total)
 
@@ -612,6 +614,7 @@ class CompiledWalk:
         out["source"] = np.asarray(self.source, dtype=np.str_)
         out["reason"] = np.asarray(self.reason, dtype=np.str_)
         out["budgets"] = np.asarray(self.budgets, dtype=float)
+        out["dx"] = np.asarray(self.dx, dtype=np.str_)
         out["n_cdf_levels"] = np.asarray(len(self.cdf_levels), dtype=np.int64)
         for lvl, cdf in enumerate(self.cdf_levels):
             out[f"cdf_{lvl}"] = cdf
@@ -642,6 +645,7 @@ class CompiledWalk:
                 for lvl in range(n_cdf)
             ],
             budgets=tuple(float(b) for b in np.asarray(arrays["budgets"])),
+            dx=str(np.asarray(arrays["dx"]).item()),
             paths=paths,
         )
 
@@ -649,12 +653,11 @@ class CompiledWalk:
         """Bitwise equality of everything the walk consumes.
 
         ``cache_version`` is session-local state and deliberately not
-        compared; the store uses this to verify that a persisted arena
-        still matches a fresh compile of the adopted cache.  ``source``
-        and ``reason`` are provenance labels the walk only reads for
-        *degraded* nodes (to materialise their substitution records), so
-        they are compared at degraded positions only — a warm-started
-        cache legitimately relabels clean entries ``source="store"``.
+        compared.  ``source`` and ``reason`` are provenance labels the
+        walk only reads for *degraded* nodes (to materialise their
+        substitution records), so they are compared at degraded
+        positions only — a warm-started cache legitimately relabels
+        clean entries ``source="store"``.
         """
         mine = self.to_arrays()
         theirs = other.to_arrays()
@@ -808,6 +811,7 @@ def compile_walk(engine: "WalkEngine") -> CompiledWalk:
             for lvl in range(n_levels)
         ],
         budgets=budgets,
+        dx=engine.dx.name,
         paths=[n.path for n in nodes],
         nodes=nodes,
     )

@@ -2,9 +2,10 @@
 
 The node cache makes repeat queries cheap *within* a process; this
 module makes them cheap *across* processes.  A
-:class:`MechanismStore` is a directory of offline bundles
-(:mod:`repro.core.bundle`), keyed by a **configuration fingerprint** —
-a SHA-256 over everything that determines the solved matrices:
+:class:`MechanismStore` is a directory of mechanism arenas
+(:class:`~repro.serve.arena.MechanismArena`), one ``msm-<fp>.arena/``
+per **configuration fingerprint** — a SHA-256 over everything that
+determines the solved matrices:
 
 * index shape (bounds, per-level fanout, height),
 * the per-level epsilon split,
@@ -12,79 +13,60 @@ a SHA-256 over everything that determines the solved matrices:
 * the Δ-spanner dilation the cold LP builds use (``None`` = exact),
 * a hash of the modelling prior.
 
-An engine warm-starting from the store therefore can only ever adopt
-matrices solved for *exactly* its own configuration; any drift — a
-re-allocated budget, a different prior, a resized grid — lands on a
-different fingerprint and misses.  Defence in depth: even on a
-fingerprint hit the stored epsilon split and metric are re-verified
-against the requesting mechanism (``load_bundle(expect_budgets=…,
-expect_metric=…)``) and the stored prior is re-hashed, so a renamed or
-stale file is rejected rather than silently served.  Every restored
-matrix passes the privacy guard at load, exactly as bundles do.
+Saving compiles the mechanism and freezes it with
+:func:`write_mechanism`, which also records what a loader needs to
+rebuild the grid MSM: the index shape, ``dq``, the fingerprint, and the
+prior as one more checksummed array.  ``repro bundle`` writes the same
+arena, and :func:`load_mechanism` (``repro sanitize --bundle``) reads it
+back.  Warm start opens the arena — which checks every file against its
+manifest SHA-256 and re-guards every node at its level's epsilon —
+verifies the stored epsilon split, metric, index shape, prior and
+fingerprint against the requesting mechanism, then adopts each node's
+guarded mechanism into its cache.  An engine warm-starting from the
+store therefore can only ever adopt matrices solved for *exactly* its
+own configuration.
 
-Crash model: ``save`` fsyncs the temp file *and* the directory around
-the atomic rename, so a power cut can never publish a zero-length or
-torn bundle under the final name; each bundle carries a SHA-256
-content checksum in a ``.sha256`` sidecar.  A bundle that fails its
-checksum — or fails to load at all (truncated zip, flipped bytes, a
-matrix failing the privacy guard) — is **quarantined** to a
+Crash model: :meth:`~repro.serve.arena.MechanismArena.freeze` writes
+into a temporary sibling directory, fsyncs every file, and publishes it
+by rename, so a crash can never publish a torn arena.  An arena that
+fails to open — a flipped byte, a truncated array, an unreadable
+manifest, a node failing the guard — is **quarantined** whole to a
 ``.quarantine/`` subdirectory (with a ``repro_store_quarantined_total``
 metric) and treated as a store miss, so ``get_or_build`` rebuilds it
 instead of raising into the serving path.  Stale-*configuration*
-entries (a readable bundle solved for different budgets/metric/prior)
-still raise: they indicate operator error, not corruption, and must
-never be silently rebuilt over.
+entries (a readable arena solved for a different budget, metric, index
+or prior) still raise: they indicate operator error, not corruption,
+and must never be silently rebuilt over.
 
 This is the paper's Section 3.1 deployment model applied server-side:
 precompute once, persist, and let every later engine skip the LP solves
 entirely (Bordenabe et al. show why re-solving is the cost to avoid;
 Chatzikokolakis et al. make precompute-plus-reuse the canonical
-throughput lever).
-
-Alongside each bundle the store persists the **compiled walk arena**
-(:mod:`repro.core.kernel`) in a ``.kernel.npz`` sidecar, so a
-warm-started server starts on the fused array path without paying the
-compile.  The sidecar is never trusted on its own: at warm start the
-engine recompiles from the just-adopted cache and the persisted arena
-must match that fresh compile *bitwise* (:meth:`CompiledWalk.equals`);
-a mismatched or unreadable sidecar is quarantined while the bundle —
-which was independently checksummed and guard-verified — keeps
-serving.
+throughput lever).  Version-1 and version-2 ``.npz`` bundles are no
+longer read; re-run ``repro bundle`` to migrate one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import MechanismError
+from repro.geo.bbox import BoundingBox
+from repro.geo.metric import Metric, get_metric
+from repro.grid.hierarchy import HierarchicalGrid
+from repro.grid.regular import RegularGrid
 from repro.obs import NOOP, Observability
-from repro.core.bundle import load_bundle, save_bundle
 from repro.core.kernel import CompiledWalk
-from repro.core.ledger import fsync_directory
 from repro.core.msm import MultiStepMechanism
-
-
-def _file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _fsync_file(path: str | Path) -> None:
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+from repro.priors.base import GridPrior
+from repro.serve.arena import ArenaError, MechanismArena
 
 
 def prior_hash(prior) -> str:
@@ -123,28 +105,198 @@ def config_fingerprint(msm: MultiStepMechanism) -> str:
     return h.hexdigest()
 
 
+def write_mechanism(
+    msm: MultiStepMechanism, directory: str | Path
+) -> MechanismArena:
+    """Compile ``msm`` (solving every node its cache lacks) and freeze
+    it into the arena ``directory``, with what :func:`load_mechanism`
+    needs to rebuild it.  Returns the published arena.
+
+    Raises
+    ------
+    MechanismError
+        If the mechanism does not run over a hierarchical grid: the
+        adaptive indexes derive their geometry from data samples, which
+        belong to the producer, not the arena.
+    """
+    index = msm.index
+    if not isinstance(index, HierarchicalGrid):
+        raise MechanismError(
+            "persisted mechanisms support MSM over a HierarchicalGrid only"
+        )
+    grid = msm.prior.grid
+    b = grid.bounds
+    return MechanismArena.freeze(
+        msm.engine.compile(build=True),
+        directory,
+        mechanism={
+            "granularity": index.granularity,
+            "dq": msm.dq.name,
+            "fingerprint": config_fingerprint(msm),
+            "prior_granularity": grid.granularity,
+            "prior_bounds": [b.min_x, b.min_y, b.max_x, b.max_y],
+            "prior": msm.prior.probabilities,
+        },
+    )
+
+
+def load_mechanism(
+    directory: str | Path,
+    expect_budgets: Sequence[float] | None = None,
+    expect_metric: Metric | str | None = None,
+) -> MultiStepMechanism:
+    """Rebuild the grid MSM :func:`write_mechanism` froze into
+    ``directory``; sampling needs no further LP work.
+
+    The arena is opened verifying (checksums, then every node through
+    the privacy guard), so a corrupt or tampered arena fails closed
+    here rather than serving.  ``expect_budgets`` / ``expect_metric``
+    declare the configuration the caller expects; a stored epsilon
+    split or utility metric that differs raises.
+
+    Raises
+    ------
+    MechanismError
+        On a missing directory, a ``.npz`` file (the retired bundle
+        format), an arena without a grid-mechanism description, or a
+        configuration mismatch.
+    ArenaError, PrivacyViolationError
+        When the arena fails its checksums or a node fails the guard.
+    """
+    directory = Path(directory)
+    if directory.is_file():
+        raise MechanismError(
+            f"{directory} is a file, not a mechanism arena directory; "
+            f".npz bundles are no longer read — re-run `repro bundle "
+            f"--out DIR` to write one"
+        )
+    if not directory.exists():
+        raise MechanismError(f"bundle not found: {directory}")
+    arena = MechanismArena.open(directory)
+    meta = arena.mechanism
+    if "granularity" not in meta:
+        raise MechanismError(
+            f"arena {directory} does not describe a grid mechanism; "
+            f"write it with `repro bundle`"
+        )
+    walk = arena.compiled()
+    _verify_config(directory, walk.budgets, meta["dq"],
+                   expect_budgets, expect_metric)
+    try:
+        dx = get_metric(walk.dx)
+    except KeyError as exc:
+        raise MechanismError(f"arena {directory}: {exc}") from None
+    prior = GridPrior(
+        RegularGrid(
+            BoundingBox(*meta["prior_bounds"]), int(meta["prior_granularity"])
+        ),
+        np.array(meta["prior"]),
+        name="bundled",
+    )
+    msm = MultiStepMechanism(
+        HierarchicalGrid(
+            BoundingBox(*arena.bounds), int(meta["granularity"]), walk.n_levels
+        ),
+        walk.budgets,
+        prior,
+        dq=get_metric(meta["dq"]),
+        dx=dx,
+    )
+    _adopt(msm, arena, walk, "bundle")
+    return msm
+
+
+def _adopt(
+    msm: MultiStepMechanism,
+    arena: MechanismArena,
+    walk: CompiledWalk,
+    source: str,
+) -> int:
+    """Put each node's guarded mechanism into ``msm.cache`` (nodes it
+    already holds are kept); degraded nodes keep their recorded
+    fallback source and reason.  Returns the number adopted."""
+    adopted = 0
+    for node_id, matrix in arena.matrices.items():
+        path = walk.paths[node_id]
+        if path in msm.cache:
+            continue
+        degraded = bool(walk.degraded[node_id])
+        level = int(walk.level[node_id]) + 1
+        msm.cache.put(
+            path,
+            matrix,
+            degraded=degraded,
+            source=walk.source[node_id] if degraded else source,
+            reason=walk.reason[node_id] or None,
+            level=level,
+            epsilon=walk.budgets[level - 1],
+        )
+        adopted += 1
+    return adopted
+
+
+def _verify_config(
+    path: Path,
+    budgets: tuple[float, ...],
+    dq_name: str,
+    expect_budgets: Sequence[float] | None,
+    expect_metric: Metric | str | None,
+) -> None:
+    """Reject an arena whose stored configuration does not match the
+    requesting mechanism's — serving matrices solved for a different
+    epsilon split or utility metric would silently mis-spend the budget
+    (or mis-optimise utility) of every report."""
+    if expect_budgets is not None:
+        wanted = tuple(float(b) for b in expect_budgets)
+        match = len(wanted) == len(budgets) and all(
+            abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+            for a, b in zip(wanted, budgets)
+        )
+        if not match:
+            raise MechanismError(
+                f"arena {path} stores epsilon split "
+                f"{tuple(round(b, 6) for b in budgets)} but the "
+                f"requesting mechanism expects "
+                f"{tuple(round(b, 6) for b in wanted)}; refusing to "
+                f"serve matrices solved for a different budget"
+            )
+    if expect_metric is not None:
+        wanted_name = (
+            expect_metric if isinstance(expect_metric, str)
+            else expect_metric.name
+        )
+        if wanted_name != dq_name:
+            raise MechanismError(
+                f"arena {path} stores mechanisms optimised for metric "
+                f"{dq_name!r} but the requesting mechanism expects "
+                f"{wanted_name!r}"
+            )
+
+
 @dataclass(frozen=True)
 class StoreRecord:
     """Outcome of one store interaction."""
 
     fingerprint: str
+    #: the configuration's arena directory
     path: Path
     #: "hit" (warm-started from disk), "built" (solved then persisted),
     #: or "saved" (explicit save)
     outcome: str
     #: node mechanisms adopted into the requesting mechanism's cache
     adopted: int
-    size_bytes: int
+    #: the arena at ``path``, mapped (verified on a hit)
+    arena: MechanismArena
 
 
 class MechanismStore:
-    """A directory of precomputed mechanism bundles keyed by fingerprint.
+    """A directory of mechanism arenas keyed by configuration fingerprint.
 
     Thread-safe: concurrent :meth:`get_or_build` calls for the same
     configuration serialise on a per-fingerprint lock, so the LP sweep
-    runs at most once per process, and writes go through an atomic
-    rename so a concurrent reader (or a crash mid-write) can never
-    observe a torn file.
+    runs at most once per process, and arenas are published by rename
+    so a concurrent reader (or a crash mid-write) can never observe a
+    torn one.
     """
 
     _obs = NOOP
@@ -180,9 +332,12 @@ class MechanismStore:
                 lock = self._fp_locks[fingerprint] = threading.Lock()
             return lock
 
+    def _path(self, fingerprint: str) -> Path:
+        return self._root / f"msm-{fingerprint}.arena"
+
     def path_for(self, msm: MultiStepMechanism) -> Path:
-        """Where this mechanism's bundle lives (or would live)."""
-        return self._root / f"msm-{config_fingerprint(msm)}.npz"
+        """Where this mechanism's arena lives (or would live)."""
+        return self._path(config_fingerprint(msm))
 
     def __contains__(self, msm: MultiStepMechanism) -> bool:
         return self.path_for(msm).exists()
@@ -191,203 +346,44 @@ class MechanismStore:
     # persistence
     # ------------------------------------------------------------------
     def save(self, msm: MultiStepMechanism) -> StoreRecord:
-        """Precompute (if needed) and persist ``msm``'s node mechanisms.
-
-        The bundle is written to a temporary file, fsync'd, and
-        atomically renamed into place (followed by a directory fsync),
-        so concurrent readers see either the old complete file or the
-        new complete file — never a torn one — and a crash right after
-        the rename cannot publish a name whose *content* never reached
-        disk.  A SHA-256 content checksum is published alongside in a
-        ``.sha256`` sidecar, which :meth:`warm_start` verifies.
-        """
+        """Compile ``msm`` (solving any node its cache lacks) and
+        publish its arena under its fingerprint (see
+        :func:`write_mechanism`)."""
         fingerprint = config_fingerprint(msm)
-        target = self._root / f"msm-{fingerprint}.npz"
-        fd, tmp = tempfile.mkstemp(
-            dir=self._root, prefix=".tmp-", suffix=".npz"
-        )
-        os.close(fd)
-        try:
-            save_bundle(msm, tmp)
-            _fsync_file(tmp)
-            digest = _file_sha256(tmp)
-            os.replace(tmp, target)
-            fsync_directory(self._root)
-            self._write_checksum(target, digest)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self._save_kernel(msm, fingerprint)
-        self._record("saved")
-        return StoreRecord(
-            fingerprint=fingerprint,
-            path=target,
-            outcome="saved",
-            adopted=0,
-            size_bytes=target.stat().st_size,
-        )
-
-    def _write_checksum(self, target: Path, digest: str) -> None:
-        """Publish the content checksum sidecar, atomically."""
-        sidecar = self.checksum_path(target)
-        fd, tmp = tempfile.mkstemp(
-            dir=self._root, prefix=".tmp-", suffix=".sha256"
-        )
-        try:
-            os.write(fd, (digest + "\n").encode())
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        try:
-            os.replace(tmp, sidecar)
-            fsync_directory(self._root)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    @staticmethod
-    def checksum_path(bundle_path: Path) -> Path:
-        """Where a bundle's content-checksum sidecar lives."""
-        return bundle_path.with_name(bundle_path.name + ".sha256")
-
-    def kernel_path_for(self, msm: MultiStepMechanism) -> Path:
-        """Where this mechanism's compiled-arena sidecar lives."""
-        return self._root / f"msm-{config_fingerprint(msm)}.kernel.npz"
-
-    def _save_kernel(self, msm: MultiStepMechanism, fingerprint: str) -> None:
-        """Persist the compiled walk arena beside the bundle.
-
-        The arena is compiled from a mechanism *restored from the
-        just-written bundle*, not from the builder's in-memory cache:
-        :class:`MechanismMatrix` renormalises rows at construction, so
-        a bundle round trip perturbs the last ulp of each kernel and
-        the builder's bits can never match a warm-starter's.  Every
-        loader of the same bundle file computes identical bits, so
-        compiling from a restore makes the sidecar bitwise-verifiable
-        at every future warm start.  A restore that cannot hold the
-        whole tree (an evicting cache) just skips the sidecar.  Same
-        atomic write-and-checksum discipline as bundles.
-        """
-        bundle_path = self._root / f"msm-{fingerprint}.npz"
-        try:
-            restored = load_bundle(
-                bundle_path,
-                guard=True,
-                expect_budgets=msm.budgets,
-                expect_metric=msm.dq,
-            )
-        except Exception:  # noqa: BLE001 - sidecar is best-effort
-            return
-        compiled = restored.engine.compile(build=False)
-        if compiled is None:
-            return
-        target = self._root / f"msm-{fingerprint}.kernel.npz"
-        fd, tmp = tempfile.mkstemp(
-            dir=self._root, prefix=".tmp-", suffix=".npz"
-        )
-        os.close(fd)
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **compiled.to_arrays())
-                fh.flush()
-                os.fsync(fh.fileno())
-            digest = _file_sha256(tmp)
-            os.replace(tmp, target)
-            fsync_directory(self._root)
-            self._write_checksum(target, digest)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    def _adopt_kernel(self, msm: MultiStepMechanism, fingerprint: str) -> None:
-        """Verify-then-adopt the compiled-arena sidecar on warm start.
-
-        The persisted arena is *evidence*, not authority: the engine
-        recompiles from the cache entries just adopted (guard-verified
-        by ``load_bundle``) and only keeps serving if the sidecar
-        matches that fresh compile bitwise.  A mismatch — stale file,
-        bit rot below the checksum's radar, tampering — quarantines the
-        sidecar; the fresh compile is kept either way, so a
-        warm-started engine begins on a complete kernel snapshot.
-        """
-        compiled = msm.engine.compile(build=False)
-        path = self._root / f"msm-{fingerprint}.kernel.npz"
-        if not path.exists():
-            return
-        if compiled is None:
-            # the cache could not hold the full tree here (budget
-            # eviction mid-adopt): the sidecar cannot be verified, and
-            # an unverified arena must never serve — leave it on disk
-            # for a configuration that can check it
-            return
-        try:
-            with np.load(path) as data:
-                stored = CompiledWalk.from_arrays(dict(data))
-        except Exception as exc:  # noqa: BLE001 - any corruption shape
-            self._quarantine(path, f"{type(exc).__name__}: {exc}")
-            return
-        if not stored.equals(compiled):
-            self._quarantine(
-                path,
-                "kernel sidecar does not match a fresh compile of the "
-                "adopted cache",
-            )
-
-    def arena_dir_for(self, msm: MultiStepMechanism) -> Path:
-        """Where this mechanism's serving arena lives."""
-        return self._root / f"msm-{config_fingerprint(msm)}.arena"
-
-    def export_arena(self, msm: MultiStepMechanism, directory: Path | None = None):
-        """Freeze ``msm``'s compiled walk into a serving arena.
-
-        The multi-worker pool's workers map the arena read-only at zero
-        copy (:class:`~repro.serve.arena.MechanismArena`); exporting
-        through the store keys the directory by the same config
-        fingerprint as the bundle and the ``.kernel.npz`` sidecar, so
-        one warmed mechanism yields one arena however many pools serve
-        it.  Compiles through the engine's normal resolve path
-        (``build=True``), warming any missing cache entries exactly
-        like a precompute.
-
-        Returns the opened :class:`~repro.serve.arena.MechanismArena`.
-        """
-        from repro.serve.arena import MechanismArena
-
-        compiled = msm.engine.compile(build=True)
-        target = directory if directory is not None else self.arena_dir_for(msm)
-        arena = MechanismArena.freeze(compiled, target)
+        arena = write_mechanism(msm, self._path(fingerprint))
         if self._obs.enabled:
             self._obs.metrics.gauge("repro_store_arena_bytes").set(
                 arena.nbytes
             )
-        return arena
+        self._record("saved")
+        return StoreRecord(
+            fingerprint=fingerprint,
+            path=arena.directory,
+            outcome="saved",
+            adopted=0,
+            arena=arena,
+        )
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt bundle (and its sidecar) out of the way.
+        """Move a corrupt arena directory out of the way.
 
-        The bundle is renamed into ``.quarantine/`` under a
-        non-colliding name so the evidence survives for post-mortem
-        while the fingerprint slot frees up for a rebuild.  Failures
-        here are swallowed: quarantine is best-effort cleanup on an
-        already-broken file and must never take down the serving path.
+        It is renamed into ``.quarantine/`` under a non-colliding name
+        so the evidence survives for post-mortem while the fingerprint
+        slot frees up for a rebuild.  Failures here are swallowed:
+        quarantine is best-effort cleanup on an already-broken arena
+        and must never take down the serving path.
         """
         quarantine = self._root / ".quarantine"
         try:
             quarantine.mkdir(exist_ok=True)
-        except OSError:
-            return
-        for victim in (path, self.checksum_path(path)):
-            if not victim.exists():
-                continue
-            dest = quarantine / victim.name
+            dest = quarantine / path.name
             suffix = 0
             while dest.exists():
                 suffix += 1
-                dest = quarantine / f"{victim.name}.{suffix}"
-            try:
-                os.replace(victim, dest)
-            except OSError:
-                continue
+                dest = quarantine / f"{path.name}.{suffix}"
+            os.replace(path, dest)
+        except OSError:
+            return
         if self._obs.enabled:
             self._obs.metrics.counter("repro_store_quarantined_total").inc()
         with self._obs.tracer.span(
@@ -398,106 +394,71 @@ class MechanismStore:
     def warm_start(self, msm: MultiStepMechanism) -> StoreRecord | None:
         """Adopt stored node mechanisms into ``msm``'s cache, if present.
 
-        Returns None on a store miss.  On a hit, the bundle's content
-        checksum is verified first (when its sidecar exists), every
-        stored matrix is guard-validated, the stored epsilon split /
-        metric / prior are verified against the requesting mechanism,
-        and the matrices enter ``msm.cache`` with ``source="store"``
-        provenance (degraded nodes keep their original fallback
-        provenance).
+        Returns None on a store miss.  On a hit, the arena is opened
+        verifying (checksums, then every node through the guard), the
+        stored epsilon split / metric / index shape / prior /
+        fingerprint are verified against the requesting mechanism, and
+        the guarded mechanisms enter ``msm.cache`` with
+        ``source="store"`` provenance (degraded nodes keep their
+        original fallback provenance).
 
-        A bundle that is *corrupt* — checksum mismatch, truncated or
-        unreadable file, or a restored matrix failing the privacy
-        guard — is quarantined to ``.quarantine/`` and reported as a
-        miss, so the caller rebuilds instead of crashing the serving
-        path.
+        An arena that fails to open — checksum mismatch, truncated or
+        missing array, unreadable manifest, or a node failing the
+        privacy guard — is quarantined to ``.quarantine/`` and reported
+        as a miss, so the caller rebuilds instead of crashing the
+        serving path.  A legacy ``msm-*.npz`` bundle is never read.
 
         Raises
         ------
         MechanismError
-            When a *readable* file exists under this fingerprint but
+            When a *readable* arena exists under this fingerprint but
             stores a configuration that does not match the requesting
             mechanism (a stale or tampered entry) — it is never
             silently served, and never silently rebuilt over.
         """
         fingerprint = config_fingerprint(msm)
-        path = self._root / f"msm-{fingerprint}.npz"
+        path = self._path(fingerprint)
         if not path.exists():
             self._record("miss")
             return None
-        sidecar = self.checksum_path(path)
-        if sidecar.exists():
-            try:
-                expected = sidecar.read_text().strip()
-                actual = _file_sha256(path)
-            except OSError as exc:
-                self._quarantine(path, f"unreadable: {exc}")
-                self._record("miss")
-                return None
-            if expected != actual:
-                self._quarantine(
-                    path,
-                    f"content checksum mismatch "
-                    f"(expected {expected[:12]}…, got {actual[:12]}…)",
-                )
-                self._record("miss")
-                return None
         try:
-            restored = load_bundle(
-                path,
-                guard=True,
-                expect_budgets=msm.budgets,
-                expect_metric=msm.dq,
-            )
-        except MechanismError:
-            # a readable bundle for a *different* configuration: stale,
-            # not corrupt — refuse loudly rather than rebuild over it
-            raise
+            arena = MechanismArena.open(path)
+            meta = arena.mechanism
+            if "fingerprint" not in meta or arena.matrices is None:
+                raise ArenaError(f"{path} holds no guarded grid mechanism")
         except Exception as exc:  # noqa: BLE001 - any corruption shape
             self._quarantine(path, f"{type(exc).__name__}: {exc}")
             self._record("miss")
             return None
-        self._verify_geometry(path, msm, restored)
-        adopted = 0
-        skipped = 0
-        for node_path, entry in restored.cache.snapshot().items():
-            if node_path in msm.cache:
-                skipped += 1
-                continue
-            msm.cache.put(
-                node_path,
-                entry.matrix,
-                degraded=entry.degraded,
-                source=entry.source if entry.degraded else "store",
-                reason=entry.reason,
-                level=entry.level,
-                epsilon=entry.epsilon,
+        walk = arena.compiled()
+        _verify_config(path, walk.budgets, meta["dq"], msm.budgets, msm.dq)
+        self._verify_geometry(path, msm, arena)
+        if meta.get("fingerprint") != fingerprint:
+            raise MechanismError(
+                f"store entry {path} was solved for a different "
+                f"configuration (fingerprint "
+                f"{str(meta.get('fingerprint'))[:12]}…); refusing to "
+                f"warm-start from it"
             )
-            adopted += 1
-        if skipped == 0:
-            # only a cache populated purely from this bundle can be
-            # expected to recompile to the sidecar's exact bits; a
-            # partially pre-warmed mechanism holds its own solver bits
-            # and must not condemn a good sidecar over the difference
-            self._adopt_kernel(msm, fingerprint)
+        adopted = _adopt(msm, arena, walk, "store")
         self._record("hit", adopted)
         return StoreRecord(
             fingerprint=fingerprint,
             path=path,
             outcome="hit",
             adopted=adopted,
-            size_bytes=path.stat().st_size,
+            arena=arena,
         )
 
     def get_or_build(self, msm: MultiStepMechanism) -> StoreRecord:
         """Warm-start ``msm`` from the store, solving and persisting on a
         miss.
 
-        On a hit the requesting mechanism performs *zero* LP solves; on
-        a miss it precomputes every reachable node (through its own
-        resilient/guarded solve path) and the result is persisted for
-        the next process.  Single-flight per fingerprint within this
-        process.
+        On a hit the requesting mechanism performs *zero* LP solves and
+        nothing is written; on a miss it precomputes every reachable
+        node (through its own resilient/guarded solve path) and the
+        result is persisted for the next process.  Single-flight per
+        fingerprint within this process.
         """
         fingerprint = config_fingerprint(msm)
         with self._fingerprint_lock(fingerprint):
@@ -512,31 +473,28 @@ class MechanismStore:
                 path=saved.path,
                 outcome="built",
                 adopted=0,
-                size_bytes=saved.size_bytes,
+                arena=saved.arena,
             )
 
+    @staticmethod
     def _verify_geometry(
-        self,
-        path: Path,
-        msm: MultiStepMechanism,
-        restored: MultiStepMechanism,
+        path: Path, msm: MultiStepMechanism, arena: MechanismArena
     ) -> None:
-        """Stale-entry rejection beyond what load_bundle verifies: index
-        shape and prior must hash identically to the requesting
+        """Stale-entry rejection beyond the epsilon split and metric:
+        the index shape and the prior must match the requesting
         mechanism's."""
-        want, got = msm.index, restored.index
+        index, meta = msm.index, arena.mechanism
         same_shape = (
-            getattr(want, "granularity", None)
-            == getattr(got, "granularity", None)
-            and msm.height == restored.height
-            and want.bounds == got.bounds
+            getattr(index, "granularity", None) == meta.get("granularity")
+            and msm.height == arena.n_levels
+            and index.bounds == BoundingBox(*arena.bounds)
         )
         if not same_shape:
             raise MechanismError(
                 f"store entry {path} was solved for a different index "
                 f"shape; refusing to warm-start from it"
             )
-        want_p, got_p = msm.prior.probabilities, restored.prior.probabilities
+        want_p, got_p = msm.prior.probabilities, np.asarray(meta["prior"])
         if want_p.shape != got_p.shape or not np.allclose(
             want_p, got_p, rtol=1e-9, atol=1e-12
         ):
@@ -546,10 +504,5 @@ class MechanismStore:
             )
 
     def entries(self) -> list[Path]:
-        """All bundle files currently in the store (kernel sidecars are
-        companions of their bundle, not entries in their own right)."""
-        return sorted(
-            path
-            for path in self._root.glob("msm-*.npz")
-            if not path.name.endswith(".kernel.npz")
-        )
+        """All arena directories currently in the store."""
+        return sorted(self._root.glob("msm-*.arena"))

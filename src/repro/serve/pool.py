@@ -844,12 +844,14 @@ class ServingPool:
     ) -> "ServingPool":
         """Build, warm, freeze, and wrap a mechanism in one call.
 
-        Builds the MSM at ``config.per_report_epsilon`` (optionally warm
-        from / persist to a ``store``, a
-        :class:`~repro.core.store.MechanismStore` or a directory path),
-        compiles the warmed tree, and freezes it into ``arena_dir`` (a
-        pool-owned temporary directory when omitted, removed once the
-        pool is garbage-collected).
+        Builds the MSM at ``config.per_report_epsilon``, compiles the
+        warmed tree, and freezes it into ``arena_dir`` (a pool-owned
+        temporary directory when omitted, removed once the pool is
+        garbage-collected).  With a ``store`` (a
+        :class:`~repro.core.store.MechanismStore` or a directory path)
+        the pool maps the store's arena for this configuration instead
+        — built and published on a miss, opened as it is on a hit — and
+        freezes a copy only into an explicit ``arena_dir``.
         """
         from repro.core.msm import MultiStepMechanism
         from repro.core.store import MechanismStore
@@ -868,11 +870,9 @@ class ServingPool:
                 store = MechanismStore(store)
             if obs is not None:
                 store.bind_observability(obs)
-            store.get_or_build(msm)
-            arena = store.export_arena(
-                msm,
-                directory=Path(arena_dir) if arena_dir else None,
-            )
+            arena = store.get_or_build(msm).arena
+            if arena_dir is not None:
+                arena = MechanismArena.freeze(arena.compiled(), arena_dir)
         else:
             msm.precompute()
             compiled = msm.engine.compile(build=True)

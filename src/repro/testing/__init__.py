@@ -13,6 +13,7 @@ from repro.testing.chaos import (
     CrashPoint,
     corrupt_journal_entry,
     flip_byte,
+    rewrite_arena_array,
     truncate_tail,
 )
 from repro.testing.faults import (
@@ -39,5 +40,6 @@ __all__ = [
     "StatusFault",
     "corrupt_journal_entry",
     "flip_byte",
+    "rewrite_arena_array",
     "truncate_tail",
 ]

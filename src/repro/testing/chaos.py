@@ -17,9 +17,11 @@ three deterministic instruments:
   test reopens it with a fresh ledger and asserts on the replay.
 * Byte-surgery helpers — :func:`truncate_tail` (the classic torn final
   write) and :func:`flip_byte` (silent media corruption) mutilate a
-  journal or store bundle at exact offsets, so replay/quarantine paths
-  are exercised against realistic artefacts rather than hand-built
-  garbage.
+  journal or a mechanism arena's array at exact offsets, so
+  replay/quarantine paths are exercised against realistic artefacts
+  rather than hand-built garbage; :func:`rewrite_arena_array` edits an
+  arena and re-checksums it, the tampering only the guard at open can
+  catch.
 * :class:`CrashFault` — a :class:`~repro.testing.faults.FaultRule`
   that raises :class:`CrashError` from inside the LP substrate.
   Because :class:`CrashError` is *not* a
@@ -35,11 +37,15 @@ process-level complement (SIGKILL against a live server) lives in the
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.ledger import BudgetLedger, LedgerReplay, OpenReservation
+from repro.serve.arena import MANIFEST_NAME, file_sha256
 from repro.testing.faults import FaultRule
 
 #: The ledger write ops a :class:`CrashPoint` can name.
@@ -220,8 +226,8 @@ def flip_byte(path: str | Path, offset: int) -> None:
     """XOR one byte at ``offset`` (negative offsets count from the end).
 
     Models silent single-byte media corruption; the per-entry CRC in a
-    journal and the SHA-256 sidecar on a store bundle both exist to
-    catch exactly this.
+    journal and the per-file SHA-256 in a mechanism arena's manifest
+    both exist to catch exactly this.
     """
     path = Path(path)
     size = path.stat().st_size
@@ -238,6 +244,29 @@ def flip_byte(path: str | Path, offset: int) -> None:
         fh.write(bytes([original[0] ^ 0xFF]))
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def rewrite_arena_array(
+    directory: str | Path, key: str, array: np.ndarray
+) -> None:
+    """Replace array ``key`` of the mechanism arena at ``directory``
+    and rewrite its manifest SHA-256 to match.
+
+    The checksums then pass, so only the privacy guard at open can
+    refuse the edit.  The old file is unlinked first, so a mapping of
+    it stays intact.
+    """
+    directory = Path(directory)
+    target = directory / f"{key}.npy"
+    target.unlink()
+    np.save(target, np.asarray(array))
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["arrays"][key] = {
+        "sha256": file_sha256(target),
+        "bytes": target.stat().st_size,
+    }
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def corrupt_journal_entry(path: str | Path, line_no: int) -> None:

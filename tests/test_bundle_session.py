@@ -1,4 +1,9 @@
-"""Tests for offline bundles and sanitisation sessions."""
+"""Tests for offline bundles and sanitisation sessions.
+
+A bundle is the mechanism arena ``repro bundle`` writes
+(:func:`~repro.core.store.write_mechanism`), read back by
+:func:`~repro.core.store.load_mechanism`.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +11,9 @@ import pytest
 from repro.exceptions import BudgetError, MechanismError
 from repro.geo.point import Point
 from repro.grid.kdtree import KDTreeIndex
-from repro.core.bundle import (
-    load_bundle,
-    sample_from_bundle,
-    save_bundle,
-)
 from repro.core.msm import MultiStepMechanism
 from repro.core.session import SanitizationSession
+from repro.core.store import load_mechanism, write_mechanism
 
 
 @pytest.fixture
@@ -22,32 +23,38 @@ def msm(fine_prior) -> MultiStepMechanism:
 
 class TestBundle:
     def test_roundtrip_preserves_everything(self, msm, tmp_path):
-        info = save_bundle(msm, tmp_path / "austin.npz")
-        assert info.n_nodes == 10  # root + 9 level-1 nodes
-        assert info.size_bytes > 0
-        assert info.epsilon == pytest.approx(0.9)
+        arena = write_mechanism(msm, tmp_path / "austin")
+        assert arena.n_nodes == 1 + 9 + 81  # root, level 1, leaves
+        assert arena.nbytes > 0
+        assert sum(arena.budgets) == pytest.approx(0.9)
 
-        restored = load_bundle(info.path)
+        restored = load_mechanism(arena.directory)
         assert restored.budgets == pytest.approx(msm.budgets)
         assert restored.height == msm.height
-        assert len(restored.cache) == 10
-        # Matrices must match bit-for-bit.
+        assert restored.prior.probabilities == pytest.approx(
+            msm.prior.probabilities
+        )
+        assert len(restored.cache) == 10  # root + 9 level-1 nodes
+        # the arena stores CDF rows; their steps give back the solved
+        # matrices to float round-off (a cumsum and a diff apart)
         for path in [(), (0,), (4,), (8,)]:
             original = msm.cache.get(path)
             again = restored.cache.get(path)
-            assert np.array_equal(original.k, again.k)
+            assert np.allclose(original.k, again.k, rtol=0, atol=1e-15)
+            assert again.inputs == original.inputs
 
     def test_restored_mechanism_needs_no_lp(self, msm, tmp_path, rng):
-        info = save_bundle(msm, tmp_path / "b.npz")
-        restored = load_bundle(info.path)
+        arena = write_mechanism(msm, tmp_path / "b")
+        restored = load_mechanism(arena.directory)
         before = restored.lp_seconds
         for _ in range(20):
             restored.sample(Point(10, 10), rng)
         assert restored.lp_seconds == before
+        assert restored.cache.builds == 0
 
     def test_restored_distribution_matches(self, msm, tmp_path):
-        info = save_bundle(msm, tmp_path / "b.npz")
-        restored = load_bundle(info.path)
+        arena = write_mechanism(msm, tmp_path / "b")
+        restored = load_mechanism(arena.directory)
         x = Point(7.3, 12.8)
         pts_a, probs_a = msm.reported_distribution(x)
         pts_b, probs_b = restored.reported_distribution(x)
@@ -58,15 +65,15 @@ class TestBundle:
             assert dist_b[key] == pytest.approx(value, abs=1e-12)
 
     def test_sample_from_bundle_one_shot(self, msm, tmp_path):
-        info = save_bundle(msm, tmp_path / "b.npz")
-        z = sample_from_bundle(
-            info.path, Point(5, 5), np.random.default_rng(3)
+        arena = write_mechanism(msm, tmp_path / "b")
+        z = load_mechanism(arena.directory).sample(
+            Point(5, 5), np.random.default_rng(3)
         )
         assert msm.index.bounds.contains(z)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MechanismError, match="not found"):
-            load_bundle(tmp_path / "nope.npz")
+            load_mechanism(tmp_path / "nope")
 
     def test_adaptive_index_rejected(self, fine_prior, small_dataset,
                                      rng, tmp_path):
@@ -74,7 +81,8 @@ class TestBundle:
         index = KDTreeIndex(small_dataset.bounds, sample, max_depth=2)
         msm = MultiStepMechanism(index, (0.2, 0.2), fine_prior)
         with pytest.raises(MechanismError, match="HierarchicalGrid"):
-            save_bundle(msm, tmp_path / "b.npz")
+            write_mechanism(msm, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
     def test_dq_metric_survives_roundtrip(self, fine_prior, tmp_path):
         from repro.geo.metric import SQUARED_EUCLIDEAN
@@ -82,8 +90,8 @@ class TestBundle:
         msm = MultiStepMechanism.build(
             0.9, 3, fine_prior, rho=0.8, dq=SQUARED_EUCLIDEAN
         )
-        info = save_bundle(msm, tmp_path / "b.npz")
-        restored = load_bundle(info.path)
+        arena = write_mechanism(msm, tmp_path / "b")
+        restored = load_mechanism(arena.directory)
         assert restored.dq.name == "squared_euclidean"
 
 

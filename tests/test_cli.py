@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import MechanismError
 
 
 class TestParser:
@@ -88,19 +89,28 @@ class TestCommands:
 
 class TestBundleCommands:
     def test_bundle_roundtrip_via_cli(self, capsys, tmp_path):
-        bundle_path = tmp_path / "b.npz"
+        bundle_path = tmp_path / "b"
         assert main([
             "bundle", "--dataset", "gowalla", "--fraction", "0.01",
             "--epsilon", "0.9", "--g", "3", "--out", str(bundle_path),
         ]) == 0
-        assert bundle_path.exists()
+        assert (bundle_path / "manifest.json").exists()
         assert main([
             "sanitize", "--bundle", str(bundle_path),
-            "--x", "10.0", "--y", "10.0",
+            "--x", "10.0", "--y", "10.0", "--remap",
         ]) == 0
         out = capsys.readouterr().out
         assert "node LPs" in out
         assert "reported" in out
+
+    def test_sanitize_refuses_npz_bundle(self, tmp_path):
+        legacy = tmp_path / "old.npz"
+        legacy.write_bytes(b"PK\x03\x04")
+        with pytest.raises(MechanismError, match="repro bundle"):
+            main([
+                "sanitize", "--bundle", str(legacy),
+                "--x", "10.0", "--y", "10.0",
+            ])
 
     def test_sanitize_requires_epsilon_without_bundle(self):
         with pytest.raises(SystemExit, match="epsilon"):

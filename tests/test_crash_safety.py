@@ -789,15 +789,20 @@ class TestStoreRecovery:
         index = HierarchicalGrid(square20, 2, 2)
         return MultiStepMechanism(index, (0.5, 0.6), prior)
 
-    def test_save_publishes_checksum_sidecar(
+    def test_save_publishes_manifest_checksums(
         self, tmp_path, square20, serve_prior
     ):
+        import json
+
+        from repro.serve.arena import MANIFEST_NAME, file_sha256
+
         store = MechanismStore(tmp_path / "store")
         record = store.get_or_build(self._msm(square20, serve_prior))
-        sidecar = store.checksum_path(record.path)
-        assert sidecar.exists()
-        digest = sidecar.read_text().strip()
-        assert len(digest) == 64  # SHA-256 hex
+        manifest = json.loads((record.path / MANIFEST_NAME).read_text())
+        assert "mechanism_prior" in manifest["arrays"]
+        for key, entry in manifest["arrays"].items():
+            assert len(entry["sha256"]) == 64  # SHA-256 hex
+            assert entry["sha256"] == file_sha256(record.path / f"{key}.npy")
 
     def test_flipped_byte_quarantined_and_rebuilt(
         self, tmp_path, square20, serve_prior
@@ -805,15 +810,15 @@ class TestStoreRecovery:
         store = MechanismStore(tmp_path / "store")
         first = self._msm(square20, serve_prior)
         record = store.get_or_build(first)
-        flip_byte(record.path, 100)
+        flip_byte(record.path / "cdf_1.npy", -1)
 
         fresh = self._msm(square20, serve_prior)
         rebuilt = store.get_or_build(fresh)
         assert rebuilt.outcome == "built"
         assert fresh.cache.builds > 0
         quarantined = list((store.root / ".quarantine").iterdir())
-        assert len(quarantined) == 2  # bundle + sidecar
-        # the rebuilt bundle is valid: a third engine warm-starts clean
+        assert [q.name for q in quarantined] == [record.path.name]
+        # the rebuilt arena is valid: a third engine warm-starts clean
         third = self._msm(square20, serve_prior)
         assert store.get_or_build(third).outcome == "hit"
         assert third.cache.builds == 0
@@ -823,7 +828,8 @@ class TestStoreRecovery:
     ):
         store = MechanismStore(tmp_path / "store")
         record = store.get_or_build(self._msm(square20, serve_prior))
-        truncate_tail(record.path, record.path.stat().st_size // 2)
+        victim = record.path / "cdf_0.npy"
+        truncate_tail(victim, victim.stat().st_size // 2)
 
         fresh = self._msm(square20, serve_prior)
         assert store.warm_start(fresh) is None  # a miss, not a crash
@@ -833,12 +839,13 @@ class TestStoreRecovery:
     def test_unreadable_bundle_without_sidecar_quarantined(
         self, tmp_path, square20, serve_prior
     ):
-        """Legacy bundles (no sidecar) still recover: a load failure
-        quarantines instead of raising into the serving path."""
+        """An arena whose manifest cannot be read quarantines instead
+        of raising into the serving path."""
+        from repro.serve.arena import MANIFEST_NAME
+
         store = MechanismStore(tmp_path / "store")
         record = store.get_or_build(self._msm(square20, serve_prior))
-        store.checksum_path(record.path).unlink()
-        record.path.write_bytes(b"not a zip archive at all")
+        (record.path / MANIFEST_NAME).write_bytes(b"not a manifest at all")
 
         fresh = self._msm(square20, serve_prior)
         assert store.warm_start(fresh) is None
@@ -847,7 +854,7 @@ class TestStoreRecovery:
     def test_stale_config_still_raises_not_quarantined(
         self, tmp_path, square20, serve_prior
     ):
-        """A *readable* bundle under the wrong key is an operator
+        """A *readable* arena under the wrong key is an operator
         error: it must raise, and must not be silently destroyed."""
         from repro.exceptions import MechanismError
         from repro.grid.hierarchy import HierarchicalGrid
@@ -860,7 +867,6 @@ class TestStoreRecovery:
         b = MultiStepMechanism(index, (0.5, 0.7), serve_prior)
         path_a, path_b = store.path_for(a), store.path_for(b)
         path_a.rename(path_b)
-        store.checksum_path(path_a).rename(store.checksum_path(path_b))
         with pytest.raises(MechanismError, match="epsilon split"):
             store.warm_start(b)
         assert path_b.exists()  # evidence preserved

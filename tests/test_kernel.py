@@ -19,13 +19,13 @@ Four angles:
   subset at ``eps / Δ`` still pass the privacy guard at the full
   ``eps`` (the accounting the ``--dilation`` knob relies on).
 
-Plus the store round trip: the persisted ``.kernel.npz`` arena adopts
-bitwise on warm start and quarantines on tamper.
+Plus the persisted kernel: the store's arena maps bitwise, quarantines
+on tamper, and every index kind freezes and re-opens through the guard.
 """
 
 from __future__ import annotations
 
-import hashlib
+import json
 import sys
 import threading
 import warnings
@@ -66,6 +66,8 @@ from repro.testing.faults import (
     FlakyCacheProxy,
     RaiseFault,
 )
+from repro.serve.arena import MANIFEST_NAME, MechanismArena
+from repro.testing import rewrite_arena_array
 from repro.testing.oracle import assert_same_walks, oracle_walk
 from tests.test_boundary_convention import _edge_points, _internal_nodes
 
@@ -621,23 +623,23 @@ class TestSpannerGuard:
 # store round trip: the persisted arena sidecar
 # ----------------------------------------------------------------------
 class TestKernelSidecar:
-    def test_sidecar_written_and_adopted_bitwise(self, tmp_path):
+    """The store's persisted kernel is its arena (which replaced the
+    ``.kernel.npz`` sidecar): the walk the builder compiled, re-guarded
+    at every verifying open."""
+
+    def test_store_arena_walks_bitwise_like_the_builder(self, tmp_path):
         store = MechanismStore(tmp_path / "store")
         builder = _gihi_msm()
-        store.get_or_build(builder)
-        sidecar = store.kernel_path_for(builder)
-        assert sidecar.exists()
-        assert MechanismStore.checksum_path(sidecar).exists()
-        assert sidecar not in store.entries()  # not a bundle
+        record = store.get_or_build(builder)
+        assert record.path in store.entries()
+        mapped = MechanismArena.open(record.path)
+        assert mapped.compiled().equals(builder.engine.compile(build=False))
 
         warm = _gihi_msm()
         record = store.get_or_build(warm)
         assert record.outcome == "hit"
-        assert sidecar.exists()  # verified, not quarantined
-        assert warm.engine.compiled is not None
-        # the adopted arena IS a fresh compile of the adopted cache
-        recompiled = compile_walk(warm.engine)
-        assert warm.engine.compiled.equals(recompiled)
+        assert record.arena.matrices is not None  # guarded at open
+        assert warm.engine.compile(build=False) is not None
 
     def test_warm_started_kernel_run_matches_staged(self, tmp_path):
         store = MechanismStore(tmp_path / "store")
@@ -649,62 +651,86 @@ class TestKernelSidecar:
         b = oracle_walk(warm.engine, points, np.random.default_rng(SEED))
         assert_same_walks(a, b)
 
-    def test_tampered_sidecar_quarantined_fresh_compile_survives(
-        self, tmp_path
-    ):
+    def test_tampered_arena_quarantined_and_rebuilt(self, tmp_path):
+        """A re-checksummed edit that breaks epsilon-GeoInd passes the
+        checksums but not the guard: the arena is quarantined and the
+        slot rebuilt."""
         store = MechanismStore(tmp_path / "store")
-        store.get_or_build(_gihi_msm())
-        probe = _gihi_msm()
-        sidecar = store.kernel_path_for(probe)
-        with np.load(sidecar) as data:
-            arrays = dict(data)
-        arrays["cdf_0"] = arrays["cdf_0"].copy()
-        arrays["cdf_0"][0, 0] += 1e-9  # below any statistical radar
-        with open(sidecar, "wb") as fh:
-            np.savez(fh, **arrays)
-        MechanismStore.checksum_path(sidecar).write_text(
-            hashlib.sha256(sidecar.read_bytes()).hexdigest() + "\n"
+        record = store.get_or_build(_gihi_msm())
+        rewrite_arena_array(
+            record.path, "cdf_0", np.cumsum(np.eye(9), axis=1)
         )
         warm = _gihi_msm()
-        record = store.warm_start(warm)
-        assert record is not None and record.outcome == "hit"
-        assert not sidecar.exists()
-        quarantined = list(
-            (store.root / ".quarantine").glob("*.kernel.npz*")
-        )
-        assert quarantined
-        # serving is unaffected: the fresh compile took over
-        assert warm.engine.compiled is not None
+        assert store.warm_start(warm) is None
+        quarantined = list((store.root / ".quarantine").iterdir())
+        assert [q.name for q in quarantined] == [record.path.name]
+        assert store.get_or_build(warm).outcome == "built"
 
-    def test_sidecar_without_membership_arrays_is_quarantined(
+    def test_arena_without_membership_arrays_is_quarantined(
         self, tmp_path
     ):
-        """A sidecar written before the membership arrays existed fails
-        to load, is quarantined, and the fresh compile serves."""
+        """An arena missing arrays its manifest format requires fails
+        to open, is quarantined, and the rebuild serves."""
         store = MechanismStore(tmp_path / "store")
-        store.get_or_build(_gihi_msm())
-        sidecar = store.kernel_path_for(_gihi_msm())
-        with np.load(sidecar) as data:
-            arrays = {
-                key: value
-                for key, value in data.items()
-                if key not in ("label_offset", "member_labels", "snap_coords")
-            }
-        with open(sidecar, "wb") as fh:
-            np.savez(fh, **arrays)
-        MechanismStore.checksum_path(sidecar).write_text(
-            hashlib.sha256(sidecar.read_bytes()).hexdigest() + "\n"
-        )
+        record = store.get_or_build(_gihi_msm())
+        manifest = json.loads((record.path / MANIFEST_NAME).read_text())
+        for key in ("label_offset", "member_labels", "snap_coords"):
+            del manifest["arrays"][key]
+            (record.path / f"{key}.npy").unlink()
+        (record.path / MANIFEST_NAME).write_text(json.dumps(manifest))
         warm = _gihi_msm()
-        record = store.warm_start(warm)
-        assert record is not None and record.outcome == "hit"
-        assert not sidecar.exists()
-        assert list((store.root / ".quarantine").glob("*.kernel.npz*"))
-        assert warm.engine.compiled.equals(
-            compile_walk(warm.engine)
+        assert store.warm_start(warm) is None
+        assert list((store.root / ".quarantine").iterdir())
+        assert store.get_or_build(warm).outcome == "built"
+        assert warm.engine.compile(build=False).equals(
+            MechanismArena.open(store.path_for(warm)).compiled()
         )
 
     def test_dilation_is_part_of_the_fingerprint(self):
         assert config_fingerprint(_gihi_msm()) != config_fingerprint(
             _gihi_msm(spanner_dilation=1.5)
         )
+
+
+# ----------------------------------------------------------------------
+# freeze -> guarded open, one row per index kind
+# ----------------------------------------------------------------------
+def _frozen_kind(kind: str) -> MultiStepMechanism:
+    """A warmed mechanism of each index kind; ``degraded`` is a GIHI
+    tree whose every node fell back to the exponential mechanism."""
+    if kind == "degraded":
+        msm = _gihi_msm(solver=_dead_solver())
+        with pytest.warns(DegradedModeWarning):
+            msm.precompute()
+        return msm
+    make_index, h, g = _CONFIGS[kind]
+    cache = NodeMechanismCache()
+    cache.merge(_warm_snapshot(kind))
+    return MultiStepMechanism(
+        make_index(),
+        [1.0 / h] * h,
+        GridPrior.uniform(RegularGrid(BOUNDS, g)),
+        cache=cache,
+    )
+
+
+class TestArenaOpenGuard:
+    @pytest.mark.parametrize("kind", ["gihi", "quad", "kd", "str", "degraded"])
+    def test_guarded_open_walks_bitwise_like_the_compile(self, kind, tmp_path):
+        """Every node's CDF step passes the guard at its level's full
+        epsilon, and the mapped walk is the in-memory compile's."""
+        msm = _frozen_kind(kind)
+        compiled = msm.engine.compile(build=False)
+        assert compiled is not None
+        MechanismArena.freeze(compiled, tmp_path / "arena")
+        arena = MechanismArena.open(tmp_path / "arena")
+        internal = np.flatnonzero(compiled.child_count > 0)
+        assert sorted(arena.matrices) == internal.tolist()
+        mapped = arena.compiled()
+        assert mapped.equals(compiled)
+        if kind == "degraded":
+            assert mapped.degraded[internal].all()
+        coords = np.array([p.as_tuple() for p in _workload(SEED, n=500)])
+        ids_a, _ = compiled.walk_arrays(coords, np.random.default_rng(SEED))
+        ids_b, _ = mapped.walk_arrays(coords, np.random.default_rng(SEED))
+        assert np.array_equal(ids_a, ids_b)

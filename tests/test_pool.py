@@ -35,11 +35,12 @@ import numpy as np
 import pytest
 
 from repro.core.msm import MultiStepMechanism
-from repro.exceptions import BudgetError, ServeError
+from repro.exceptions import BudgetError, PrivacyViolationError, ServeError
 from repro.geo.point import Point
 from repro.grid.hierarchy import HierarchicalGrid
 from repro.grid.regular import RegularGrid
 from repro.priors.base import GridPrior
+from repro.testing import rewrite_arena_array
 from repro.serve import (
     ArenaError,
     MechanismArena,
@@ -179,14 +180,77 @@ class TestArena:
             MechanismArena.open(tmp_path / "empty")
 
     def test_store_exports_arena(self, pool_msm, square20, tmp_path):
-        """The store-side hook freezes the same bitwise artifact."""
+        """The store's arena is what a store-built pool maps: the same
+        bitwise artifact, published once and not rewritten on a hit."""
         from repro.core.store import MechanismStore
 
         store = MechanismStore(tmp_path / "store")
-        store.get_or_build(pool_msm)
-        arena = store.export_arena(pool_msm)
-        assert arena.directory == store.arena_dir_for(pool_msm)
-        assert arena.compiled().equals(pool_msm.engine.compile(build=True))
+        record = store.get_or_build(pool_msm)
+        assert record.arena.directory == store.path_for(pool_msm)
+        assert record.arena.compiled().equals(
+            pool_msm.engine.compile(build=True)
+        )
+
+        def build() -> ServingPool:
+            return ServingPool.build(
+                pool_msm.prior,
+                _config(per_report=1.5),
+                workers=1,
+                granularity=2,
+                store=store,
+            )
+
+        built = build()
+        stamps = {f.name: f.stat().st_ino for f in built.arena.directory.iterdir()}
+        hit = build()
+        assert hit.arena.directory == built.arena.directory
+        assert hit.arena.directory.parent == store.root
+        assert {
+            f.name: f.stat().st_ino for f in hit.arena.directory.iterdir()
+        } == stamps
+
+    def test_refreeze_keeps_live_mappings(self, pool_msm, square20, tmp_path):
+        """Publishing over a mapped arena leaves the mapping intact:
+        the old files are unlinked, never truncated and rewritten."""
+        target = tmp_path / "a"
+        first = MechanismArena.open(
+            MechanismArena.freeze(
+                pool_msm.engine.compile(build=True), target
+            ).directory
+        )
+        walk = first.compiled()
+        before = [np.array(cdf) for cdf in walk.cdf_levels]
+        other = MultiStepMechanism(
+            HierarchicalGrid(square20, 2, 2),
+            (0.9, 1.2),  # same shape, another epsilon
+            pool_msm.prior,
+        )
+        second = MechanismArena.freeze(other.engine.compile(build=True), target)
+        assert second.budgets == (0.9, 1.2)
+        for cdf, old in zip(walk.cdf_levels, before):
+            assert np.array_equal(cdf, old)
+        assert not np.array_equal(second.compiled().cdf_levels[0], before[0])
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+    def test_guard_at_open_refuses_rechecksummed_edit(
+        self, pool_msm, tmp_path
+    ):
+        """An edited node whose manifest SHA-256 was rewritten to match
+        passes the checksums; the guard at open still refuses it, in
+        the loader and in every pool worker."""
+        arena = MechanismArena.freeze(
+            pool_msm.engine.compile(build=True), tmp_path / "a"
+        )
+        cdf = np.array(arena.compiled().cdf_levels[0])
+        cdf[0] = 1.0  # the root's first row: all mass on one child
+        rewrite_arena_array(arena.directory, "cdf_0", cdf)
+        with pytest.raises(PrivacyViolationError, match="guard"):
+            MechanismArena.open(arena.directory)
+        pool = _pool(arena, workers=1)
+        with pytest.raises(ServeError) as info:
+            pool.start()
+        assert info.value.reason == "worker-init"
+        assert "PrivacyViolationError" in str(info.value)
 
 
 # ----------------------------------------------------------------------

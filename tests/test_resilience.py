@@ -16,7 +16,7 @@ from repro.core import (
     ResilientSolver,
     SanitizationSession,
 )
-from repro.core.bundle import load_bundle, save_bundle
+from repro.core.store import load_mechanism, write_mechanism
 from repro.exceptions import (
     DegradedModeWarning,
     InfeasibleProblemError,
@@ -34,6 +34,8 @@ from repro.mechanisms.optimal import build_optimal_program
 from repro.priors.base import GridPrior
 from repro.privacy.geoind import empirical_epsilon
 from repro.privacy.guard import guard_mechanism, guarded_matrix
+from repro.serve.arena import MechanismArena
+from repro.testing import rewrite_arena_array
 from repro.testing.faults import (
     FaultInjectingSolver,
     LatencyFault,
@@ -401,14 +403,14 @@ class TestBundleDegradation:
     def test_degraded_bundle_round_trips(self, uniform9, rng, tmp_path):
         msm, _ = make_msm(uniform9, [RaiseFault()])
         with pytest.warns(DegradedModeWarning):
-            info = save_bundle(msm, tmp_path / "degraded.npz")
-        assert info.n_nodes > 0
-        loaded = load_bundle(tmp_path / "degraded.npz")
+            arena = write_mechanism(msm, tmp_path / "degraded")
+        assert arena.n_nodes > 0
+        loaded = load_mechanism(arena.directory)
         # degradation provenance survives the round trip
         original = msm.degradation_summary()
         restored = loaded.degradation_summary()
         assert restored.degraded_levels == original.degraded_levels
-        assert len(restored.substitutions) == len(original.substitutions)
+        assert restored.substitutions == original.substitutions
         assert all(
             s.fallback == "exponential" for s in restored.substitutions
         )
@@ -418,22 +420,22 @@ class TestBundleDegradation:
 
     def test_tampered_bundle_fails_closed(self, uniform9, rng, tmp_path):
         msm, _ = make_msm(uniform9, [])
-        save_bundle(msm, tmp_path / "clean.npz")
-        # doctor one node matrix into the (infinitely distinguishing)
-        # identity and rewrite the archive
-        with np.load(tmp_path / "clean.npz") as data:
-            payload = {key: data[key] for key in data.files}
-        victim = next(k for k in payload if k.startswith("node_"))
-        payload[victim] = np.eye(payload[victim].shape[0])
-        np.savez(tmp_path / "tampered.npz", **payload)
+        arena = write_mechanism(msm, tmp_path / "clean")
+        # doctor the root's rows into the (infinitely distinguishing)
+        # identity and re-checksum the file: only the guard can tell
+        n = msm.cache.get(()).shape[0]
+        rewrite_arena_array(
+            arena.directory, "cdf_0", np.cumsum(np.eye(n), axis=1)
+        )
         with pytest.raises(PrivacyViolationError):
-            load_bundle(tmp_path / "tampered.npz")
+            load_mechanism(arena.directory)
         # the escape hatch for offline analysis still works
-        loaded = load_bundle(tmp_path / "tampered.npz", guard=False)
-        assert len(loaded.cache) > 0
+        raw = MechanismArena.open(arena.directory, verify=False)
+        assert raw.matrices is None
+        assert raw.compiled().complete
 
     def test_clean_bundle_still_loads_clean(self, uniform9, tmp_path):
         msm, _ = make_msm(uniform9, [])
-        save_bundle(msm, tmp_path / "clean2.npz")
-        loaded = load_bundle(tmp_path / "clean2.npz")
+        arena = write_mechanism(msm, tmp_path / "clean2")
+        loaded = load_mechanism(arena.directory)
         assert loaded.degradation_summary().clean

@@ -224,6 +224,7 @@ class TestMechanismStore:
         assert record.outcome == "built"
         assert first.cache.builds > 0
         assert store.path_for(first).exists()
+        assert record.arena.directory == store.path_for(first)
 
         second = _store_msm(square20, store_prior)
         record = store.get_or_build(second)
@@ -239,6 +240,40 @@ class TestMechanismStore:
             e.source for e in second.cache.snapshot().values()
         }
         assert sources == {"store"}
+        # one arena directory per configuration, nothing beside it
+        assert [p.name for p in store.root.iterdir()] == [
+            store.path_for(second).name
+        ]
+
+    def test_degraded_nodes_keep_fallback_provenance(
+        self, tmp_path, square20, store_prior
+    ):
+        from repro.core.resilience import ResilienceConfig, ResilientSolver
+        from repro.exceptions import DegradedModeWarning
+        from repro.testing.faults import FaultInjectingSolver, RaiseFault
+
+        store = MechanismStore(tmp_path / "store")
+        dead = MultiStepMechanism(
+            HierarchicalGrid(square20, 2, 2),
+            (0.5, 0.6),
+            store_prior,
+            solver=ResilientSolver(
+                ResilienceConfig.starting_with("highs-ds"),
+                solve_fn=FaultInjectingSolver([RaiseFault()]),
+            ),
+        )
+        with pytest.warns(DegradedModeWarning):
+            store.get_or_build(dead)
+        warm = _store_msm(square20, store_prior)
+        record = store.get_or_build(warm)
+        assert record.outcome == "hit"
+        assert record.adopted == len(warm.cache) == 5
+        assert warm.cache.builds == 0
+        stored = dead.cache.snapshot()
+        for path, entry in warm.cache.snapshot().items():
+            assert entry.degraded
+            assert entry.source == stored[path].source == "exponential"
+            assert entry.reason == stored[path].reason
 
     def test_bounded_cache_engine_persists_complete_bundle(
         self, tmp_path, square20, store_prior
@@ -286,10 +321,47 @@ class TestMechanismStore:
         a = _store_msm(square20, store_prior, budgets=(0.5, 0.6))
         store.get_or_build(a)
         b = _store_msm(square20, store_prior, budgets=(0.5, 0.7))
-        # simulate an operator renaming a's bundle onto b's key
+        # simulate an operator renaming a's arena onto b's key
         store.path_for(a).rename(store.path_for(b))
         with pytest.raises(MechanismError, match="epsilon split"):
             store.warm_start(b)
+
+    @pytest.mark.parametrize("drift", ["index shape", "prior"])
+    def test_stale_shape_or_prior_rejected_not_served(
+        self, tmp_path, square20, store_prior, drift
+    ):
+        store = MechanismStore(tmp_path / "store")
+        a = _store_msm(square20, store_prior)
+        store.get_or_build(a)
+        if drift == "index shape":
+            b = MultiStepMechanism(
+                HierarchicalGrid(square20, 4, 2), (0.5, 0.6), store_prior
+            )
+        else:
+            skewed = np.arange(1.0, 17.0)
+            b = _store_msm(
+                square20,
+                GridPrior(store_prior.grid, skewed / skewed.sum()),
+            )
+        store.path_for(a).rename(store.path_for(b))
+        with pytest.raises(MechanismError, match=drift):
+            store.warm_start(b)
+        assert store.path_for(b).exists()  # not quarantined
+        assert not (store.root / ".quarantine").exists()
+
+    def test_legacy_npz_bundle_is_never_read(
+        self, tmp_path, square20, store_prior
+    ):
+        """A ``.npz`` bundle left by an older store under this
+        fingerprint is a miss, and the rebuild publishes an arena."""
+        store = MechanismStore(tmp_path / "store")
+        msm = _store_msm(square20, store_prior)
+        legacy = store.root / f"msm-{config_fingerprint(msm)}.npz"
+        legacy.write_bytes(b"not read")
+        assert store.warm_start(msm) is None
+        assert store.get_or_build(msm).outcome == "built"
+        assert store.entries() == [store.path_for(msm)]
+        assert legacy.read_bytes() == b"not read"
 
     def test_concurrent_get_or_build_builds_once(
         self, tmp_path, square20, store_prior
@@ -318,8 +390,8 @@ class TestMechanismStore:
     ):
         """Two threads racing get_or_build on the *same* cold
         fingerprint through the save path: whatever interleaving wins,
-        the published bundle (and its checksum sidecar) must be
-        complete and warm-startable — no torn file, no stale sidecar."""
+        the published arena must be complete and warm-startable — no
+        torn file, no leftover temporary directory."""
         store = MechanismStore(tmp_path / "store")
         barrier = threading.Barrier(2)
         outcomes: list[str] = []
@@ -340,15 +412,13 @@ class TestMechanismStore:
         assert sorted(outcomes) == ["built", "hit"]
         assert len(store.entries()) == 1
 
-        # the surviving bundle verifies end to end: checksum matches
+        # the surviving arena verifies end to end: checksums match
         # and a fresh engine adopts every node without a solve
         fresh = _store_msm(square20, store_prior)
         record = store.get_or_build(fresh)
         assert record.outcome == "hit"
         assert fresh.cache.builds == 0
-        sidecar = store.checksum_path(record.path)
-        assert sidecar.exists()
-        assert not (store.root / ".quarantine").exists()
+        assert [p.name for p in store.root.iterdir()] == [record.path.name]
 
 
 # ----------------------------------------------------------------------
